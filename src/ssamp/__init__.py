@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``kernels``    scalar Gaussian-mixture fusion (denoiser building blocks)
+* ``kernels``    the spike-and-slab chain denoiser (message and coordinate posteriors)
 * ``solver``     the spike-and-slab chain AMP solver with optional EM tuning
 * ``operators``  sensing matrix ensembles behind one apply/adjoint interface
 * ``signals``    piecewise-constant test signals, measurements, NMSE
@@ -11,19 +11,7 @@ Library layout:
 * ``cli``        ``ssamp`` command line entry point
 """
 
-from .kernels import (
-    GaussianParam,
-    MixturePosterior,
-    SsfMessage,
-    eta_gamma,
-    eta_prime,
-    fuse_pair,
-    log_gauss,
-    moments,
-    phi_zeta,
-    posterior_double,
-    posterior_single,
-)
+from .kernels import SsfMessage, eta_gamma, eta_prime, log_gauss, phi_zeta
 from .operators import (
     LinearOperator,
     column_sign_randomize,

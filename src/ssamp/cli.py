@@ -11,25 +11,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .harness import (
     SOLVERS,
     ExperimentConfig,
-    _solve_trial,
-    _trial_seeds,
-    build_operator,
+    cell_sizes,
     convergence_table,
     curve_table,
     emit,
+    make_instance,
     phase_table,
     pt_curve,
     run_convergence,
     run_phase_grid,
     run_runtime,
     runtime_table,
+    solve_instance,
 )
 from .operators import KINDS
-from .signals import SignalSpec, generate, measure, nmse, save_signal
+from .signals import nmse, save_signal
 
 _DEFAULT_OUT = {
     "solve": "solve.json",
@@ -92,25 +93,13 @@ def _cmd_solve(args) -> int:
     out, fmt = _resolve_out(args, "solve")
     m_over_n = config.grid_m_over_n[0]
     k_over_m = config.grid_k_over_m[0]
-    m = int(round(m_over_n * config.n))
-    k = int(round(k_over_m * m))
-    if m < 1 or k > config.n - 1:
+    sizes = cell_sizes(config, m_over_n, k_over_m)
+    if sizes is None:
         raise ValueError("operating point is infeasible at this n")
+    m, k = sizes
     _progress(f"solve: n={config.n} m={m} k={k} solver={config.solver}")
-    matrix_seed, sign_seed, signal_seed, noise_seed = _trial_seeds(
-        config, m_over_n, k_over_m, 0
-    )
-    op = build_operator(config, m, matrix_seed, sign_seed)
-    spec = SignalSpec(
-        n=config.n,
-        model=config.signal_model,
-        q=min(max(k / (config.n - 1), 1e-9), 1.0 - 1e-9),
-        sigma0=config.sigma0,
-        seed=signal_seed,
-    )
-    x, _ = generate(spec, force_k=k)
-    y = measure(op, x, config.delta, noise_seed)
-    report = _solve_trial(config, op, y, k, truth=x, target_nmse=None)
+    op, x, y = make_instance(config, m_over_n, k_over_m, m, k, 0)
+    report = solve_instance(config, op, y, k, truth=x, target_nmse=None)
     err = nmse(x, report.estimate)
     _progress(f"solve: nmse={err:.3e} iters={report.iters_run}")
     if fmt == "csv":
@@ -126,11 +115,7 @@ def _cmd_solve(args) -> int:
             "converged": report.converged,
             "final_params": None
             if report.final_params is None
-            else {
-                "q": report.final_params.q,
-                "sigma0_sq": report.final_params.sigma0_sq,
-                "delta": report.final_params.delta,
-            },
+            else asdict(report.final_params),
             "estimate": [float(v) for v in report.estimate],
         }
         with open(out, "w") as fh:

@@ -48,6 +48,9 @@ __all__ = [
     "derive_seed",
     "ratio_key",
     "build_operator",
+    "cell_sizes",
+    "make_instance",
+    "solve_instance",
     "run_single_trial",
     "run_phase_grid",
     "pt_curve",
@@ -178,14 +181,6 @@ def derive_seed(seed_base: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _trial_seeds(config: ExperimentConfig, m_over_n: float, k_over_m: float, trial: int):
-    """(matrix, signs, signal, noise) seeds for one trial of one cell."""
-    cell = (ratio_key(m_over_n), ratio_key(k_over_m))
-    return tuple(
-        derive_seed(config.seed_base, *cell, trial, purpose) for purpose in range(4)
-    )
-
-
 def build_operator(config: ExperimentConfig, m: int, seed: int, sign_seed: int) -> LinearOperator:
     n = config.n
     if config.matrix == "iid_gaussian":
@@ -203,7 +198,37 @@ def build_operator(config: ExperimentConfig, m: int, seed: int, sign_seed: int) 
     return op
 
 
-def _solve_trial(config, op, y, k, truth, target_nmse):
+def cell_sizes(config: ExperimentConfig, m_over_n: float, k_over_m: float):
+    """(m, k) at one operating point, or None when m < 1 or k > n - 1."""
+    m = int(round(m_over_n * config.n))
+    k = int(round(k_over_m * m))
+    if m < 1 or k > config.n - 1:
+        return None
+    return m, k
+
+
+def make_instance(
+    config: ExperimentConfig, m_over_n: float, k_over_m: float, m: int, k: int, trial: int
+):
+    """(operator, signal, measurements) of one trial, seeded per the module docstring."""
+    cell = (ratio_key(m_over_n), ratio_key(k_over_m))
+    matrix_seed, sign_seed, signal_seed, noise_seed = (
+        derive_seed(config.seed_base, *cell, trial, purpose) for purpose in range(4)
+    )
+    op = build_operator(config, m, matrix_seed, sign_seed)
+    spec = SignalSpec(
+        n=config.n,
+        model=config.signal_model,
+        q=min(max(k / (config.n - 1), 1e-9), 1.0 - 1e-9),
+        sigma0=config.sigma0,
+        seed=signal_seed,
+    )
+    x, _ = generate(spec, force_k=k)
+    y = measure(op, x, config.delta, noise_seed)
+    return op, x, y
+
+
+def solve_instance(config, op, y, k, truth, target_nmse):
     """Dispatch to the configured solver; returns a SolveReport."""
     if config.solver == "tvamp":
         tv = TvampConfig(
@@ -243,22 +268,10 @@ def run_single_trial(
     trial_index: int,
     target_nmse: float | None = None,
 ) -> TrialResult:
-    matrix_seed, sign_seed, signal_seed, noise_seed = _trial_seeds(
-        config, m_over_n, k_over_m, trial_index
-    )
-    op = build_operator(config, m, matrix_seed, sign_seed)
-    spec = SignalSpec(
-        n=config.n,
-        model=config.signal_model,
-        q=min(max(k / (config.n - 1), 1e-9), 1.0 - 1e-9),
-        sigma0=config.sigma0,
-        seed=signal_seed,
-    )
-    x, _ = generate(spec, force_k=k)
-    y = measure(op, x, config.delta, noise_seed)
+    op, x, y = make_instance(config, m_over_n, k_over_m, m, k, trial_index)
     t0 = time.perf_counter()
     try:
-        report = _solve_trial(config, op, y, k, truth=x, target_nmse=target_nmse)
+        report = solve_instance(config, op, y, k, truth=x, target_nmse=target_nmse)
         err = nmse(x, report.estimate)
         iters = report.iters_run
     except DivergenceError:
@@ -276,25 +289,25 @@ def run_single_trial(
 def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
     """Sweep the full (m_over_n, k_over_m) grid.
 
-    Cells whose derived sizes are infeasible (m < 1 or k > n - 1) are
-    emitted with zero trials and the skipped flag instead of aborting the
-    sweep.
+    Cells whose derived sizes are infeasible (see cell_sizes) are emitted
+    with zero sizes, zero trials and the skipped flag instead of aborting
+    the sweep.
     """
     cells = []
     n_k = len(config.grid_k_over_m)
     total = len(config.grid_m_over_n) * n_k
     for i, m_over_n in enumerate(config.grid_m_over_n):
-        m = int(round(m_over_n * config.n))
         for j, k_over_m in enumerate(config.grid_k_over_m):
-            k = int(round(k_over_m * m))
             cell_index = i * n_k + j
             if progress is not None:
                 progress(cell_index, total, m_over_n, k_over_m)
-            if m < 1 or k > config.n - 1:
+            sizes = cell_sizes(config, m_over_n, k_over_m)
+            if sizes is None:
                 cells.append(
-                    PhaseCell(m_over_n, k_over_m, m, k, 0, 0, 0.0, 0.0, skipped=True)
+                    PhaseCell(m_over_n, k_over_m, 0, 0, 0, 0, 0.0, 0.0, skipped=True)
                 )
                 continue
+            m, k = sizes
             results = [
                 run_single_trial(config, m_over_n, k_over_m, m, k, t)
                 for t in range(config.trials)
@@ -353,11 +366,20 @@ def iters_to_target(trace: np.ndarray, target: float) -> int:
 
 
 def _paired_cases(config: ExperimentConfig):
+    """(m_over_n, k_over_m, m, k) per case, reading the two grids pairwise."""
     if len(config.grid_m_over_n) != len(config.grid_k_over_m):
         raise ValueError(
             "convergence/runtime runs read the grids pairwise; lengths must match"
         )
-    return list(zip(config.grid_m_over_n, config.grid_k_over_m))
+    cases = []
+    for m_over_n, k_over_m in zip(config.grid_m_over_n, config.grid_k_over_m):
+        sizes = cell_sizes(config, m_over_n, k_over_m)
+        if sizes is None:
+            raise ValueError(
+                f"case (m/n={m_over_n}, k/m={k_over_m}) is infeasible at n={config.n}"
+            )
+        cases.append((m_over_n, k_over_m, *sizes))
+    return cases
 
 
 def run_convergence(config: ExperimentConfig, progress=None) -> list[ConvergenceResult]:
@@ -367,32 +389,14 @@ def run_convergence(config: ExperimentConfig, progress=None) -> list[Convergence
     the remaining iterations.
     """
     results = []
-    for case_index, (m_over_n, k_over_m) in enumerate(_paired_cases(config)):
-        m = int(round(m_over_n * config.n))
-        k = int(round(k_over_m * m))
-        if m < 1 or k > config.n - 1:
-            raise ValueError(
-                f"case (m/n={m_over_n}, k/m={k_over_m}) is infeasible at n={config.n}"
-            )
+    for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
         free_run = replace(config, tol=0.0)
         traces = []
         for t in range(config.trials):
             if progress is not None:
                 progress(case_index, t)
-            matrix_seed, sign_seed, signal_seed, noise_seed = _trial_seeds(
-                free_run, m_over_n, k_over_m, t
-            )
-            op = build_operator(free_run, m, matrix_seed, sign_seed)
-            spec = SignalSpec(
-                n=config.n,
-                model=config.signal_model,
-                q=min(max(k / (config.n - 1), 1e-9), 1.0 - 1e-9),
-                sigma0=config.sigma0,
-                seed=signal_seed,
-            )
-            x, _ = generate(spec, force_k=k)
-            y = measure(op, x, config.delta, noise_seed)
-            report = _solve_trial(free_run, op, y, k, truth=x, target_nmse=None)
+            op, x, y = make_instance(free_run, m_over_n, k_over_m, m, k, t)
+            report = solve_instance(free_run, op, y, k, truth=x, target_nmse=None)
             trace = np.asarray(report.nmse_trace)
             if trace.size < config.max_iters:
                 pad = np.full(config.max_iters - trace.size, trace[-1])
@@ -424,13 +428,7 @@ def run_runtime(config: ExperimentConfig, progress=None) -> list[tuple]:
     mean_per_iter_seconds).
     """
     rows = []
-    for case_index, (m_over_n, k_over_m) in enumerate(_paired_cases(config)):
-        m = int(round(m_over_n * config.n))
-        k = int(round(k_over_m * m))
-        if m < 1 or k > config.n - 1:
-            raise ValueError(
-                f"case (m/n={m_over_n}, k/m={k_over_m}) is infeasible at n={config.n}"
-            )
+    for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
         iters = []
         seconds = []
         timed = replace(config, record_timing=True)

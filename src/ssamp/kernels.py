@@ -1,43 +1,26 @@
-"""Scalar Gaussian-mixture fusion kernels for the chain denoiser.
+"""The spike-and-slab chain denoiser.
 
-Each signal coordinate is observed through a Gaussian pseudo-channel
-N(x; rho, theta) and receives one or two spike-and-slab messages from its
-neighbors on the first-difference chain.  A message is a two-component
-Gaussian mixture with a shared mean: a "spike" component at the carried
-variance and a "slab" component widened by the slab variance.  Multiplying
-the channel with the incoming messages gives a small Gaussian mixture
-posterior; its mean and variance drive the coordinate estimate, the
-directional message updates, and the residual correction term.
-
-Mixture weights are kept in log domain and normalized with log-sum-exp so
-that extreme channel inputs (|rho| up to 1e6, variances from 1e-12 to 1e12)
-never produce NaN.  Mixture variances are computed from centered component
-means, which is algebraically equal to the usual second-moment formula but
-immune to cancellation when component means are large.
-
-All functions broadcast: the mean/variance fields of the input structs may
-be scalars or arrays of a common shape, in which case outputs carry that
-shape (with a leading component axis inside MixturePosterior).
+A coordinate seen through the channel N(x; rho, theta) is fused with one or
+two chain messages, each a spike-and-slab pair of Gaussians with a shared
+mean (see SsfMessage).  The posterior is a mixture of two or four Gaussians
+whose mean and variance drive the estimate, the message updates and the
+Onsager term.  Log weights are normalized with log-sum-exp, so |rho| up to
+1e6 and variances from 1e-12 to 1e12 never produce NaN, and variances use
+centered component means, which avoids cancellation at large means.  Inputs
+may be scalars or arrays of a common shape; outputs carry that shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
     "VARIANCE_FLOOR",
-    "GaussianParam",
     "SsfMessage",
-    "MixturePosterior",
     "log_gauss",
-    "fuse_pair",
-    "posterior_single",
-    "posterior_double",
-    "moments",
     "eta_gamma",
     "phi_zeta",
     "eta_prime",
@@ -49,15 +32,7 @@ VARIANCE_FLOOR = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-ArrayLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class GaussianParam:
-    """A single Gaussian factor, parameterized by mean and variance."""
-
-    mean: ArrayLike
-    variance: ArrayLike
+ArrayLike = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,21 +55,6 @@ class SsfMessage:
     slab_extra_variance: ArrayLike
 
 
-@dataclass(frozen=True)
-class MixturePosterior:
-    """Normalized Gaussian-mixture posterior of one coordinate.
-
-    ``log_weights`` are normalized along the leading component axis (length
-    2 for single-message fusion, 4 for double).  ``log_evidence`` is the log
-    normalizer of the unnormalized product density.
-    """
-
-    log_weights: np.ndarray
-    component_means: np.ndarray
-    component_variances: np.ndarray
-    log_evidence: ArrayLike
-
-
 def _maybe_scalar(a: np.ndarray):
     return float(a) if np.ndim(a) == 0 else a
 
@@ -106,158 +66,87 @@ def _floor_variance(v, name: str = "variance") -> np.ndarray:
     return np.maximum(v, VARIANCE_FLOOR)
 
 
-def _check_channel(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if np.any(~(theta > 0.0)):
-        raise ValueError("channel variance theta must be positive")
-    return theta
+def _positive(v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if np.any(~(v > 0.0)):
+        raise ValueError(f"{name} must be positive")
+    return v
 
 
 def log_gauss(x: ArrayLike, mean: ArrayLike, variance: ArrayLike) -> ArrayLike:
     """Log density of N(x; mean, variance).  Variance must be positive."""
-    v = np.asarray(variance, dtype=float)
-    if np.any(~(v > 0.0)):
-        raise ValueError("variance must be positive")
+    v = _positive(variance, "variance")
     x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
     out = -0.5 * (_LOG_2PI + np.log(v) + (x - mean) ** 2 / v)
     return _maybe_scalar(out)
 
 
-def fuse_pair(a: GaussianParam, b: GaussianParam):
-    """Product of two Gaussian factors.
-
-    Returns the precision-weighted fused Gaussian together with the log
-    normalization constant of the product,
-
-        N(x; ma, va) N(x; mb, vb) = N(ma; mb, va + vb) N(x; m, v),
-
-    so the log evidence is log N(a.mean; b.mean, a.variance + b.variance).
-    Input variances below VARIANCE_FLOOR are clamped up to it.
-    """
-    va = _floor_variance(a.variance)
-    vb = _floor_variance(b.variance)
-    ma = np.asarray(a.mean, dtype=float)
-    mb = np.asarray(b.mean, dtype=float)
-    variance = 1.0 / (1.0 / va + 1.0 / vb)
-    mean = variance * (ma / va + mb / vb)
-    log_evidence = log_gauss(ma, mb, va + vb)
-    return (
-        GaussianParam(_maybe_scalar(mean), _maybe_scalar(variance)),
-        log_evidence,
-    )
-
-
-def _msg_fields(msg: SsfMessage):
-    """Validated (mean, floored variance, slab extra, spike weight) arrays."""
+def _spike_slab(msg: SsfMessage):
+    """The message's spike and slab components as (mean, variance, log weight)."""
     mean = np.asarray(msg.mean, dtype=float)
     var = _floor_variance(msg.variance)
-    extra = np.asarray(msg.slab_extra_variance, dtype=float)
-    if np.any(~(extra > 0.0)):
-        raise ValueError("slab_extra_variance must be positive")
+    extra = _positive(msg.slab_extra_variance, "slab_extra_variance")
     w = np.asarray(msg.spike_weight, dtype=float)
     if np.any(w < 0.0) or np.any(w > 1.0):
         raise ValueError("spike_weight must lie in [0, 1]")
-    return mean, var, extra, w
-
-
-def _components(mean, var, extra, w):
-    """Spike/slab component stack along a new leading axis."""
-    comp_mean = np.stack([mean, mean])
-    comp_var = np.stack([var, var + extra])
     with np.errstate(divide="ignore"):
-        comp_logw = np.stack([np.log(w), np.log1p(-w)])
-    return comp_mean, comp_var, comp_logw
+        return (mean, var, np.log(w)), (mean, var + extra, np.log1p(-w))
 
 
-def posterior_single(rho: ArrayLike, theta: ArrayLike, msg: SsfMessage) -> MixturePosterior:
-    """Fuse the channel N(x; rho, theta) with one spike-and-slab message.
+def _fuse_pair(ma, va, mb, vb):
+    """N(x; ma, va) N(x; mb, vb) = N(ma; mb, va + vb) N(x; m, v) as (m, v, log evidence).
 
-    The result is a two-component mixture; weights combine the prior
-    component weights with each component's pair-fusion evidence.
+    Both input variances are clamped up to VARIANCE_FLOOR first.
     """
-    theta = _check_channel(theta)
-    rho_b, theta_b, mean, var, extra, w = np.broadcast_arrays(
-        np.asarray(rho, dtype=float), theta, *_msg_fields(msg)
-    )
-    comp_mean, comp_var, comp_logw = _components(mean, var, extra, w)
-    fused, ev = fuse_pair(GaussianParam(rho_b, theta_b), GaussianParam(comp_mean, comp_var))
-    logw_un = comp_logw + ev
-    log_z = logsumexp(logw_un, axis=0)
-    return MixturePosterior(
-        log_weights=logw_un - log_z,
-        component_means=np.asarray(fused.mean, dtype=float),
-        component_variances=np.asarray(fused.variance, dtype=float),
-        log_evidence=_maybe_scalar(np.asarray(log_z)),
-    )
+    va = _floor_variance(va)
+    vb = _floor_variance(vb)
+    variance = 1.0 / (1.0 / va + 1.0 / vb)
+    mean = variance * (ma / va + mb / vb)
+    v = va + vb
+    log_evidence = -0.5 * (_LOG_2PI + np.log(v) + (ma - mb) ** 2 / v)
+    return mean, variance, log_evidence
 
 
-def posterior_double(
-    rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage
-) -> MixturePosterior:
-    """Fuse the channel with both directional messages.
-
-    Four components indexed by the (spike, slab) choice in each message.
-    Each component fuses its three Gaussians sequentially with fuse_pair,
-    accumulating both pair log evidences into the component weight.
+def _moments(components):
+    """Mean and variance of a mixture of (mean, variance, unnormalized log weight)
+    triples; the variance sums w (v + (m - mean)^2) in component order.
     """
-    theta = _check_channel(theta)
-    (
-        rho_b,
-        theta_b,
-        r_mean,
-        r_var,
-        r_extra,
-        r_w,
-        l_mean,
-        l_var,
-        l_extra,
-        l_w,
-    ) = np.broadcast_arrays(
-        np.asarray(rho, dtype=float), theta, *_msg_fields(r2p), *_msg_fields(l2p)
-    )
-    rm, rv, rlw = _components(r_mean, r_var, r_extra, r_w)
-    lm, lv, llw = _components(l_mean, l_var, l_extra, l_w)
-
-    # component order: (r spike, l spike), (r spike, l slab),
-    #                  (r slab,  l spike), (r slab,  l slab)
-    ai = (0, 0, 1, 1)
-    bi = (0, 1, 0, 1)
-    g1, ev1 = fuse_pair(
-        GaussianParam(rho_b, theta_b), GaussianParam(rm[list(ai)], rv[list(ai)])
-    )
-    g2, ev2 = fuse_pair(g1, GaussianParam(lm[list(bi)], lv[list(bi)]))
-    logw_un = rlw[list(ai)] + llw[list(bi)] + ev1 + ev2
-    log_z = logsumexp(logw_un, axis=0)
-    return MixturePosterior(
-        log_weights=logw_un - log_z,
-        component_means=np.asarray(g2.mean, dtype=float),
-        component_variances=np.asarray(g2.variance, dtype=float),
-        log_evidence=_maybe_scalar(np.asarray(log_z)),
-    )
-
-
-def moments(posterior: MixturePosterior):
-    """Mean and variance of a normalized Gaussian mixture.
-
-    The variance is accumulated from centered component means, equivalent to
-    sum w (v + m^2) - mean^2 but stable when |m| is large.
-    """
-    w = np.exp(posterior.log_weights)
-    mean = np.sum(w * posterior.component_means, axis=0)
-    dev = posterior.component_means - mean
-    variance = np.sum(w * (posterior.component_variances + dev**2), axis=0)
+    means, variances, log_weights = zip(*components)
+    log_z = logsumexp(np.stack(np.broadcast_arrays(*log_weights)), axis=0)
+    weights = [np.exp(lw - log_z) for lw in log_weights]
+    mean = sum((w * m for w, m in zip(weights, means)), 0.0)
+    spreads = (v + (m - mean) ** 2 for m, v in zip(means, variances))
+    variance = sum((w * s for w, s in zip(weights, spreads)), 0.0)
     return _maybe_scalar(mean), _maybe_scalar(variance)
-
-
-def eta_gamma(rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage):
-    """Posterior mean and variance of a coordinate given both messages."""
-    return moments(posterior_double(rho, theta, r2p, l2p))
 
 
 def phi_zeta(rho: ArrayLike, theta: ArrayLike, msg: SsfMessage):
     """Posterior mean and variance given a single directional message."""
-    return moments(posterior_single(rho, theta, msg))
+    theta = _positive(theta, "channel variance theta")
+    components = []
+    for mean, var, log_w in _spike_slab(msg):
+        m, v, ev = _fuse_pair(rho, theta, mean, var)
+        components.append((m, v, log_w + ev))
+    return _moments(components)
+
+
+def eta_gamma(rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage):
+    """Posterior mean and variance of a coordinate given both messages.
+
+    Components run (r spike, l spike), (r spike, l slab), (r slab, l spike),
+    (r slab, l slab); each fuses the channel with its r2p component, then
+    with its l2p component, and adds both log evidences to its weight.
+    """
+    theta = _positive(theta, "channel variance theta")
+    right, left = _spike_slab(r2p), _spike_slab(l2p)
+    components = []
+    for r_mean, r_var, r_log_w in right:
+        m1, v1, ev1 = _fuse_pair(rho, theta, r_mean, r_var)
+        for l_mean, l_var, l_log_w in left:
+            m2, v2, ev2 = _fuse_pair(m1, v1, l_mean, l_var)
+            components.append((m2, v2, r_log_w + l_log_w + ev1 + ev2))
+    return _moments(components)
 
 
 def eta_prime(rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage):

@@ -52,6 +52,8 @@ def _check_shape(m: int, n: int):
 class LinearOperator:
     """Base class: an m x n linear map with an exact adjoint."""
 
+    default_beta = 1.0  # AMP residual damping used unless one is configured
+
     def __init__(self, m: int, n: int, kind: str, seed: int, sign_randomized: bool = False):
         _check_shape(m, n)
         self.m = int(m)
@@ -159,6 +161,8 @@ class _QuasiToeplitz(LinearOperator):
     exactly those b numbers plus their zero-padded FFT workspace.
     """
 
+    default_beta = 0.5  # undamped AMP is unstable on these shifted rows
+
     def __init__(self, m, n, band, seed):
         if not 1 <= band <= n:
             raise ValueError("band width must satisfy 1 <= b <= n")
@@ -215,6 +219,7 @@ class _ColumnSign(LinearOperator):
         super().__init__(inner.m, inner.n, inner.kind, seed, sign_randomized=True)
         self.inner = inner
         self.signs = signs
+        self.default_beta = inner.default_beta
 
     def apply(self, x):
         return self.inner.apply(self.signs * self._check_vec(x, self.n, "x"))

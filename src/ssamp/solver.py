@@ -19,7 +19,6 @@ at mean zero and the slab variance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,11 +89,9 @@ class PriorParams:
 class SolverConfig:
     max_iters: int = 2000
     tol: float = 1e-14
-    damping_beta: float | None = None  # None: 1.0, or 0.5 on quasi_toeplitz
+    damping_beta: float | None = None  # None: the operator's default_beta
     em_enabled: bool = False
     theta_mode: str = "variance_sum"
-    record_trace: bool = False
-    freeze_boundary_sigma: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -128,7 +125,6 @@ class SolveReport:
     converged: bool
     final_params: PriorParams | None
     nmse_trace: np.ndarray | None = None
-    per_iter_seconds: np.ndarray | None = None
 
 
 def init_state(n: int, m: int, y: np.ndarray, params: PriorParams) -> SolverState:
@@ -165,71 +161,44 @@ def update_pseudodata(
     return rho, max(theta, THETA_FLOOR)
 
 
-def _boundary(params: PriorParams, boundary_var: float | None) -> float:
-    return params.sigma0_sq if boundary_var is None else boundary_var
+def _message(mean: np.ndarray, var: np.ndarray, params: PriorParams) -> SsfMessage:
+    """Chain message with per-coordinate (mean, var) and the prior's jump weights."""
+    return SsfMessage(
+        mean=mean,
+        variance=var,
+        spike_weight=1.0 - params.q,
+        slab_extra_variance=params.sigma0_sq,
+    )
 
 
-def r2p_update(
-    state: SolverState, params: PriorParams, boundary_var: float | None = None
-):
+def r2p_update(state: SolverState, params: PriorParams):
     """Rightward chain messages from the current pseudodata.
 
     Coordinate i receives the single-message posterior of coordinate i-1,
     which fuses rho[i-1] with the previous iteration's rightward message
     there.  The first coordinate keeps the pinned boundary message.
     """
-    msg = SsfMessage(
-        mean=state.r2p_mean[:-1],
-        variance=state.r2p_var[:-1],
-        spike_weight=1.0 - params.q,
-        slab_extra_variance=params.sigma0_sq,
-    )
+    msg = _message(state.r2p_mean[:-1], state.r2p_var[:-1], params)
     mean, var = phi_zeta(state.rho[:-1], state.theta, msg)
-    n = state.rho.shape[0]
-    out_mean = np.empty(n)
-    out_var = np.empty(n)
-    out_mean[0] = 0.0
-    out_var[0] = _boundary(params, boundary_var)
-    out_mean[1:] = mean
-    out_var[1:] = var
-    return out_mean, out_var
+    return np.concatenate(([0.0], mean)), np.concatenate(([params.sigma0_sq], var))
 
 
-def l2p_update(
-    state: SolverState, params: PriorParams, boundary_var: float | None = None
-):
-    """Leftward chain messages; mirror image of r2p_update."""
-    msg = SsfMessage(
-        mean=state.l2p_mean[1:],
-        variance=state.l2p_var[1:],
-        spike_weight=1.0 - params.q,
-        slab_extra_variance=params.sigma0_sq,
+def l2p_update(state: SolverState, params: PriorParams):
+    """Leftward chain messages: r2p_update run on the reversed chain."""
+    mirrored = replace(
+        state,
+        rho=state.rho[::-1],
+        r2p_mean=state.l2p_mean[::-1],
+        r2p_var=state.l2p_var[::-1],
     )
-    mean, var = phi_zeta(state.rho[1:], state.theta, msg)
-    n = state.rho.shape[0]
-    out_mean = np.empty(n)
-    out_var = np.empty(n)
-    out_mean[-1] = 0.0
-    out_var[-1] = _boundary(params, boundary_var)
-    out_mean[:-1] = mean
-    out_var[:-1] = var
-    return out_mean, out_var
+    mean, var = r2p_update(mirrored, params)
+    return mean[::-1], var[::-1]
 
 
 def denoise(state: SolverState, params: PriorParams):
     """Coordinate posterior moments and the mean denoiser derivative."""
-    r2p = SsfMessage(
-        mean=state.r2p_mean,
-        variance=state.r2p_var,
-        spike_weight=1.0 - params.q,
-        slab_extra_variance=params.sigma0_sq,
-    )
-    l2p = SsfMessage(
-        mean=state.l2p_mean,
-        variance=state.l2p_var,
-        spike_weight=1.0 - params.q,
-        slab_extra_variance=params.sigma0_sq,
-    )
+    r2p = _message(state.r2p_mean, state.r2p_var, params)
+    l2p = _message(state.l2p_mean, state.l2p_var, params)
     mu, sigma_sq = eta_gamma(state.rho, state.theta, r2p, l2p)
     mean_eta_prime = float(np.mean(sigma_sq)) / state.theta
     return mu, sigma_sq, mean_eta_prime
@@ -298,10 +267,10 @@ def default_em_params(op: LinearOperator, y: np.ndarray) -> PriorParams:
 
 
 def resolve_beta(config: SolverConfig, op: LinearOperator) -> float:
-    """Damping default: 1 everywhere except quasi-Toeplitz rows (0.5)."""
+    """The configured damping, or else the operator's default_beta."""
     if config.damping_beta is not None:
         return config.damping_beta
-    return 0.5 if op.kind == "quasi_toeplitz" else 1.0
+    return op.default_beta
 
 
 def iterate(
@@ -310,13 +279,12 @@ def iterate(
     y: np.ndarray,
     params: PriorParams,
     config: SolverConfig,
-    boundary_var: float | None = None,
 ):
     """One full sweep; returns the next state and possibly updated params."""
     rho, theta = update_pseudodata(state, op, params, config)
     st = replace(state, rho=rho, theta=theta)
-    r2m, r2v = r2p_update(st, params, boundary_var)
-    l2m, l2v = l2p_update(st, params, boundary_var)
+    r2m, r2v = r2p_update(st, params)
+    l2m, l2v = l2p_update(st, params)
     st = replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
     mu, sigma_sq, mean_eta_prime = denoise(st, params)
     st = replace(st, mu=mu, sigma_sq=sigma_sq)
@@ -355,21 +323,20 @@ def solve(
     y = np.asarray(y, dtype=float)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     if params is None:
         if not config.em_enabled:
             raise ValueError("params may be omitted only when EM is enabled")
         params = default_em_params(op, y)
     state = init_state(op.n, op.m, y, params)
-    boundary_var = params.sigma0_sq if config.freeze_boundary_sigma else None
 
     trace = [] if truth is not None else None
-    seconds = [] if config.record_trace else None
     converged = False
     for _ in range(config.max_iters):
-        t0 = time.perf_counter() if seconds is not None else 0.0
         prev_mu = state.mu
         try:
-            state, params = iterate(state, op, y, params, config, boundary_var)
+            state, params = iterate(state, op, y, params, config)
         except (ValueError, FloatingPointError) as exc:
             # overflow inside an iteration surfaces as a NaN-variance
             # rejection from the message kernels
@@ -380,8 +347,6 @@ def solve(
             raise DivergenceError(
                 f"solver state diverged at iteration {state.iteration}"
             )
-        if seconds is not None:
-            seconds.append(time.perf_counter() - t0)
         step = float(np.sum((state.mu - prev_mu) ** 2))
         base = float(np.sum(prev_mu**2))
         rel = step / base if base > 0.0 else float(np.sum(state.mu**2))
@@ -399,5 +364,4 @@ def solve(
         converged=converged,
         final_params=params,
         nmse_trace=None if trace is None else np.asarray(trace),
-        per_iter_seconds=None if seconds is None else np.asarray(seconds),
     )

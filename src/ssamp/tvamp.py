@@ -148,6 +148,8 @@ def tvamp_solve(
     y = np.asarray(y, dtype=float)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     beta = config.damping_beta
     mu = np.zeros(op.n)
     r = y.copy()

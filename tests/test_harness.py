@@ -11,11 +11,13 @@ from ssamp.harness import (
     PhaseCell,
     Table,
     build_operator,
+    cell_sizes,
     convergence_table,
     curve_table,
     derive_seed,
     emit,
     iters_to_target,
+    make_instance,
     phase_table,
     pt_curve,
     ratio_key,
@@ -24,7 +26,9 @@ from ssamp.harness import (
     run_runtime,
     run_single_trial,
     runtime_table,
+    solve_instance,
 )
+from ssamp.signals import nmse
 
 
 def _cell(m_over_n, k_over_m, successes, trials=10, skipped=False):
@@ -153,6 +157,28 @@ def test_single_trial_swallows_divergence():
     assert not r.success
     assert r.nmse == float("inf")
     assert r.iters == 2000
+
+
+def test_cell_sizes_rounding_and_feasibility():
+    cfg = ExperimentConfig(n=250)
+    assert cell_sizes(cfg, 0.3, 0.26) == (75, 20)
+    assert cell_sizes(ExperimentConfig(n=4), 0.1, 1.0) is None  # m = 0
+    assert cell_sizes(ExperimentConfig(n=4), 1.0, 1.0) is None  # k = 4 > n - 1
+
+
+def test_make_instance_replays_the_single_trial():
+    cfg = ExperimentConfig(n=200, trials=1, max_iters=300)
+    op, x, y = make_instance(cfg, 0.5, 0.1, 100, 10, 3)
+    op2, x2, y2 = make_instance(cfg, 0.5, 0.1, 100, 10, 3)
+    assert (op.m, op.n) == (100, 200)
+    assert np.count_nonzero(np.diff(x)) == 10
+    np.testing.assert_array_equal(x, x2)
+    np.testing.assert_array_equal(y, y2)
+    np.testing.assert_array_equal(y, op.apply(x))  # delta = 0
+    report = solve_instance(cfg, op, y, 10, truth=x, target_nmse=None)
+    trial = run_single_trial(cfg, 0.5, 0.1, 100, 10, 3)
+    assert trial.iters == report.iters_run
+    assert trial.nmse == nmse(x, report.estimate)
 
 
 def test_phase_grid_deterministic_reproduction():

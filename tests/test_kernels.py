@@ -5,19 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import central_difference, quad_posterior_moments
-from ssamp.kernels import (
-    VARIANCE_FLOOR,
-    GaussianParam,
-    SsfMessage,
-    eta_gamma,
-    eta_prime,
-    fuse_pair,
-    log_gauss,
-    moments,
-    phi_zeta,
-    posterior_double,
-    posterior_single,
-)
+from ssamp.kernels import VARIANCE_FLOOR, SsfMessage, eta_gamma, eta_prime, log_gauss, phi_zeta
 
 # frozen quadrature values for the named cases (tests/oracles.py, rel_tol 1e-11)
 SINGLE_CASE = (1.0, 0.5, (0.0, 0.2, 0.9, 1.0))
@@ -50,11 +38,16 @@ def test_log_gauss_rejects_nonpositive_variance():
         log_gauss(0.0, 0.0, -1.0)
 
 
+def _pair(ma, va, mb, vb):
+    """Plain two-Gaussian fusion through phi_zeta: spike weight 1 leaves the
+    channel N(x; ma, va) fused with the message spike N(x; mb, vb) alone."""
+    return phi_zeta(ma, va, SsfMessage(mb, vb, 1.0, 1.0))
+
+
 def test_fuse_pair_known_case():
-    fused, ev = fuse_pair(GaussianParam(1.0, 1.0), GaussianParam(3.0, 2.0))
-    assert fused.variance == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert fused.mean == pytest.approx(5.0 / 3.0, rel=1e-15)
-    assert ev == pytest.approx(log_gauss(1.0, 3.0, 3.0), rel=1e-15)
+    mean, var = _pair(1.0, 1.0, 3.0, 2.0)
+    assert var == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert mean == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
 @given(
@@ -65,29 +58,34 @@ def test_fuse_pair_known_case():
 )
 @settings(max_examples=100)
 def test_fuse_pair_symmetric(ma, mb, va, vb):
-    f1, e1 = fuse_pair(GaussianParam(ma, va), GaussianParam(mb, vb))
-    f2, e2 = fuse_pair(GaussianParam(mb, vb), GaussianParam(ma, va))
-    assert f1.mean == pytest.approx(f2.mean, rel=1e-12, abs=1e-12)
-    assert f1.variance == pytest.approx(f2.variance, rel=1e-12)
-    assert e1 == pytest.approx(e2, rel=1e-12, abs=1e-12)
+    m1, v1 = _pair(ma, va, mb, vb)
+    m2, v2 = _pair(mb, vb, ma, va)
+    assert m1 == pytest.approx(m2, rel=1e-12, abs=1e-12)
+    assert v1 == pytest.approx(v2, rel=1e-12)
 
 
 def test_fuse_pair_floors_zero_variance():
-    fused, _ = fuse_pair(GaussianParam(2.0, 0.0), GaussianParam(0.0, 1.0))
+    # a zero message variance is clamped up to the floor, not divided by
+    mean, var = _pair(0.0, 1.0, 2.0, 0.0)
     expected_var = 1.0 / (1.0 / VARIANCE_FLOOR + 1.0)
-    assert fused.variance == pytest.approx(expected_var, rel=1e-12)
-    assert fused.mean == pytest.approx(2.0, rel=1e-9)
+    assert var == pytest.approx(expected_var, rel=1e-12)
+    assert mean == pytest.approx(2.0, rel=1e-9)
 
 
 def test_fuse_pair_rejects_negative_variance():
     with pytest.raises(ValueError):
-        fuse_pair(GaussianParam(0.0, -1e-3), GaussianParam(0.0, 1.0))
+        _pair(0.0, 1.0, 0.0, -1e-3)
+    with pytest.raises(ValueError):
+        eta_gamma(0.0, 1.0, SsfMessage(0.0, 1.0, 0.9, 1.0), SsfMessage(0.0, -1e-3, 0.9, 1.0))
 
 
 def test_posterior_single_weights_normalized():
-    p = posterior_single(*SINGLE_CASE[:2], SsfMessage(*SINGLE_CASE[2]))
-    assert p.log_weights.shape == (2,)
-    assert abs(np.sum(np.exp(p.log_weights)) - 1.0) <= 1e-12
+    # channel and message agree on the mean, so every component has that
+    # mean and the posterior mean is it times the total weight
+    c = 0.8
+    _, theta, (_, var, w, extra) = SINGLE_CASE
+    mean, _ = phi_zeta(c, theta, SsfMessage(c, var, w, extra))
+    assert abs(mean / c - 1.0) <= 1e-12
 
 
 def test_posterior_single_matches_quadrature():
@@ -98,32 +96,29 @@ def test_posterior_single_matches_quadrature():
 
 def test_posterior_single_collapses_at_full_spike_weight():
     # spike_weight 1 leaves a single live component: plain Gaussian fusion
-    msg = SsfMessage(0.3, 0.7, 1.0, 2.0)
-    p = posterior_single(1.1, 0.4, msg)
-    fused, ev = fuse_pair(GaussianParam(1.1, 0.4), GaussianParam(0.3, 0.7))
-    w = np.exp(p.log_weights)
-    assert w[0] == pytest.approx(1.0, abs=1e-15)
-    assert w[1] == 0.0
-    mean, var = moments(p)
-    assert mean == pytest.approx(fused.mean, rel=1e-15)
-    assert var == pytest.approx(fused.variance, rel=1e-15)
-    assert p.log_evidence == pytest.approx(ev, rel=1e-15)
+    mean, var = phi_zeta(1.1, 0.4, SsfMessage(0.3, 0.7, 1.0, 2.0))
+    fused_var = 1.0 / (1.0 / 0.4 + 1.0 / 0.7)
+    assert mean == pytest.approx(fused_var * (1.1 / 0.4 + 0.3 / 0.7), rel=1e-15)
+    assert var == pytest.approx(fused_var, rel=1e-15)
 
 
 def test_posterior_rejects_nonpositive_theta():
     msg = SsfMessage(0.0, 1.0, 0.9, 1.0)
     with pytest.raises(ValueError):
-        posterior_single(0.0, 0.0, msg)
+        phi_zeta(0.0, 0.0, msg)
     with pytest.raises(ValueError):
-        posterior_double(0.0, -1.0, msg, msg)
+        eta_gamma(0.0, -1.0, msg, msg)
 
 
 def test_posterior_double_weights_normalized():
-    p = posterior_double(
-        DOUBLE_CASE[0], DOUBLE_CASE[1], SsfMessage(*DOUBLE_CASE[2]), SsfMessage(*DOUBLE_CASE[3])
+    # as in the single case: a common mean c makes the posterior mean
+    # c times the total weight of the four components
+    c = -0.6
+    _, theta, (_, r_var, r_w, r_extra), (_, l_var, l_w, l_extra) = DOUBLE_CASE
+    mean, _ = eta_gamma(
+        c, theta, SsfMessage(c, r_var, r_w, r_extra), SsfMessage(c, l_var, l_w, l_extra)
     )
-    assert p.log_weights.shape == (4,)
-    assert abs(np.sum(np.exp(p.log_weights)) - 1.0) <= 1e-12
+    assert abs(mean / c - 1.0) <= 1e-12
 
 
 def test_posterior_double_matches_quadrature():
@@ -142,23 +137,6 @@ def test_posterior_double_fusion_order_invariant():
     m2, v2 = eta_gamma(DOUBLE_CASE[0], DOUBLE_CASE[1], l2p, r2p)
     assert m1 == pytest.approx(m2, rel=1e-13)
     assert v1 == pytest.approx(v2, rel=1e-13)
-
-
-def test_moments_two_point_mixture():
-    from ssamp.kernels import MixturePosterior
-
-    p_weights = np.log([0.25, 0.75])
-    post = MixturePosterior(
-        log_weights=np.array(p_weights),
-        component_means=np.array([-1.0, 2.0]),
-        component_variances=np.array([0.5, 0.25]),
-        log_evidence=0.0,
-    )
-    mean, var = moments(post)
-    expect_mean = 0.25 * -1.0 + 0.75 * 2.0
-    expect_var = 0.25 * (0.5 + 1.0**2) + 0.75 * (0.25 + 2.0**2) - expect_mean**2
-    assert mean == pytest.approx(expect_mean, rel=1e-15)
-    assert var == pytest.approx(expect_var, rel=1e-14)
 
 
 def test_eta_reduces_to_linear_mmse_without_slabs():

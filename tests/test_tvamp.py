@@ -174,6 +174,11 @@ def test_solve_validates_shape():
     op = make_iid_gaussian(10, 20, 0)
     with pytest.raises(ValueError):
         tvamp_solve(op, np.zeros(11), TvampConfig(lam=1.0))
+    for bad in (np.nan, -np.inf):
+        y = np.zeros(10)
+        y[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tvamp_solve(op, y, TvampConfig(lam=1.0))
 
 
 def test_easy_point_recovery():
