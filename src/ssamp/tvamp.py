@@ -15,6 +15,7 @@ number of constant segments of the output divided by n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +53,22 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
     Maintains running lower/upper taut-string bounds (vmin, vmax) and
     their slack accumulators (umin, umax); a violated bound finalizes a
     segment and restarts after it.  O(n) amortized, exact minimizer.
+    The sweep reads Python floats from a list: indexing numpy scalars
+    made this loop about 3-4x slower, for the same IEEE-754 results.
     """
-    y = np.ascontiguousarray(values, dtype=float)
-    n = y.size
+    y = np.asarray(values, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    if n == 0:
+    n = y.size
+    if lam == 0.0 or n <= 1:
         return y.copy()
-    if lam == 0.0 or n == 1:
-        return y.copy()
-    x = np.empty(n)
+    y = y.tolist()
+    x = [0.0] * n
     k = k0 = kminus = kplus = 0
     vmin = y[0] - lam
     vmax = y[0] + lam
@@ -88,9 +95,10 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
                 umin = vmax - lam - vmin
             else:
                 vmin += umin / (k - k0 + 1)
-                x[k0 : k + 1] = vmin
-                return x
-        if y[k + 1] + umin < vmin - lam:
+                x[k0 : k + 1] = [vmin] * (k - k0 + 1)
+                return np.array(x)
+        y_next = y[k + 1]
+        if y_next + umin < vmin - lam:
             # negative jump is certain: emit [k0, kminus] at vmin
             while k0 <= kminus:
                 x[k0] = vmin
@@ -100,7 +108,7 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
             vmax = vmin + 2.0 * lam
             umin = lam
             umax = -lam
-        elif y[k + 1] + umax > vmax + lam:
+        elif y_next + umax > vmax + lam:
             # positive jump is certain: emit [k0, kplus] at vmax
             while k0 <= kplus:
                 x[k0] = vmax
@@ -112,8 +120,8 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
             umax = -lam
         else:
             k += 1
-            umin += y[k] - vmin
-            umax += y[k] - vmax
+            umin += y_next - vmin
+            umax += y_next - vmax
             if umin >= lam:
                 vmin += (umin - lam) / (k - k0 + 1)
                 umin = lam
@@ -159,7 +167,10 @@ def tvamp_solve(
     for it in range(1, config.max_iters + 1):
         theta = float(np.sum(r**2)) / op.m
         rho = op.adjoint(r) + mu
-        mu_new = tv_prox(rho, config.lam * np.sqrt(theta))
+        threshold = config.lam * np.sqrt(theta)
+        if not np.isfinite(threshold):
+            raise DivergenceError(f"solver state diverged at iteration {it}")
+        mu_new = tv_prox(rho, threshold)
         onsager = tv_divergence(mu_new)
         candidate = y - op.apply(mu_new) + r * (op.n / op.m) * onsager
         r = (1.0 - beta) * r + beta * candidate

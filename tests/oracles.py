@@ -3,7 +3,9 @@
 Nothing here calls back into the package's fusion or prox code paths:
 posterior moments come from direct quadrature of the unnormalized density,
 derivatives from central differences, EM quantities from extended-precision
-arithmetic, and the TV prox from an iterative dual solver.
+arithmetic, and the TV prox from an iterative dual solver.  The one
+exception is ``tv_prox_sweep_reference``: a frozen copy of the taut-string
+sweep indexing numpy arrays, kept to check faster rewrites byte for byte.
 """
 
 from __future__ import annotations
@@ -218,3 +220,77 @@ def tv_kkt_residual(x, y, lam, segment_tol=1e-8):
             residual, float(np.max(np.abs(z[active] - lam * np.sign(d[active]))))
         )
     return residual
+
+
+def tv_prox_sweep_reference(values, lam):
+    """The taut-string sweep of ``ssamp.tvamp.tv_prox`` on numpy scalars.
+
+    Same comparisons, updates and divisions in the same order, so every
+    output must match the package's prox byte for byte.
+    """
+    y = np.ascontiguousarray(values, dtype=float)
+    n = y.size
+    if lam < 0.0:
+        raise ValueError("lam must be nonnegative")
+    if n == 0:
+        return y.copy()
+    if lam == 0.0 or n == 1:
+        return y.copy()
+    x = np.empty(n)
+    k = k0 = kminus = kplus = 0
+    vmin = y[0] - lam
+    vmax = y[0] + lam
+    umin = lam
+    umax = -lam
+    while True:
+        while k == n - 1:
+            if umin < 0.0:
+                while k0 <= kminus:
+                    x[k0] = vmin
+                    k0 += 1
+                k = kminus = k0
+                vmin = y[k]
+                umin = lam
+                umax = vmin + lam - vmax
+            elif umax > 0.0:
+                while k0 <= kplus:
+                    x[k0] = vmax
+                    k0 += 1
+                k = kplus = k0
+                vmax = y[k]
+                umax = -lam
+                umin = vmax - lam - vmin
+            else:
+                vmin += umin / (k - k0 + 1)
+                x[k0 : k + 1] = vmin
+                return x
+        if y[k + 1] + umin < vmin - lam:
+            while k0 <= kminus:
+                x[k0] = vmin
+                k0 += 1
+            k = kminus = kplus = k0
+            vmin = y[k]
+            vmax = vmin + 2.0 * lam
+            umin = lam
+            umax = -lam
+        elif y[k + 1] + umax > vmax + lam:
+            while k0 <= kplus:
+                x[k0] = vmax
+                k0 += 1
+            k = kminus = kplus = k0
+            vmax = y[k]
+            vmin = vmax - 2.0 * lam
+            umin = lam
+            umax = -lam
+        else:
+            k += 1
+            umin += y[k] - vmin
+            umax += y[k] - vmax
+            if umin >= lam:
+                vmin += (umin - lam) / (k - k0 + 1)
+                umin = lam
+                kminus = k
+            if umax <= -lam:
+                vmax += (umax + lam) / (k - k0 + 1)
+                umax = -lam
+                kplus = k

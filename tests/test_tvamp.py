@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import tv_kkt_residual, tv_objective, tv_prox_fista, tv_prox_pg
+from oracles import (
+    tv_kkt_residual,
+    tv_objective,
+    tv_prox_fista,
+    tv_prox_pg,
+    tv_prox_sweep_reference,
+)
+import ssamp.tvamp
 from ssamp.operators import make_iid_gaussian
 from ssamp.signals import SignalSpec, generate, measure, nmse
 from ssamp.solver import DivergenceError
@@ -34,6 +41,35 @@ def test_prox_lambda_zero_is_identity():
 def test_prox_rejects_negative_lambda():
     with pytest.raises(ValueError):
         tv_prox(np.zeros(4), -0.5)
+    for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            tv_prox(np.zeros(4), bad)
+    for lam in (0.0, 0.5):
+        for values in (np.zeros((2, 3)), np.zeros((1, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                tv_prox(values, lam)
+
+
+def test_prox_matches_numpy_sweep_byte_for_byte():
+    rng = np.random.default_rng(10)
+    cases = []
+    for _ in range(1500):
+        n = int(rng.integers(1, 701))
+        scale = float(10.0 ** rng.uniform(-8, 8))
+        if rng.random() < 0.3:
+            # piecewise constant: plateaus make exact ties in the sweep's comparisons
+            levels = np.round(rng.normal(size=int(rng.integers(1, 8))), 1)
+            y = np.repeat(levels, -(-n // levels.size))[:n] * scale
+        else:
+            y = rng.normal(size=n) * scale
+        top = float(np.max(np.abs(y)))
+        lam = float(rng.choice([0.0, 1e-6 * scale, top * 10.0 ** rng.uniform(-6, 1)]))
+        cases.append((y, lam))
+        cases.append((y, np.float64(lam)))
+    for y, lam in cases:
+        ours = tv_prox(y, lam)
+        assert ours.dtype == np.float64 and ours.shape == y.shape
+        assert ours.tobytes() == tv_prox_sweep_reference(y, lam).tobytes()
 
 
 def test_prox_singleton_and_empty():
@@ -168,6 +204,22 @@ def test_first_iteration_composes_prox_and_residual():
     theta = np.sum(y**2) / 30
     mu1 = tv_prox(op.adjoint(y), lam * np.sqrt(theta))
     np.testing.assert_array_equal(rep.estimate, mu1)
+
+
+def test_solve_calls_prox_through_module_name(monkeypatch):
+    # callers may hook ssamp.tvamp.tv_prox; tvamp_solve must look it up each iteration
+    calls = []
+
+    def counting(values, lam):
+        calls.append(lam)
+        return tv_prox(values, lam)
+
+    monkeypatch.setattr(ssamp.tvamp, "tv_prox", counting)
+    op = make_iid_gaussian(30, 60, 1)
+    y = np.random.default_rng(2).normal(size=30)
+    rep = tvamp_solve(op, y, TvampConfig(lam=0.9, max_iters=7, tol=0.0))
+    assert rep.iters_run == 7
+    assert len(calls) == rep.iters_run
 
 
 def test_solve_validates_shape():
