@@ -3,10 +3,10 @@
 Library layout:
 
 * ``kernels``    the spike-and-slab chain denoiser (message and coordinate posteriors)
-* ``solver``     the spike-and-slab chain AMP solver with optional EM tuning
+* ``solver``     the AMP loop, and the spike-and-slab chain solver with optional EM tuning
 * ``operators``  sensing matrix ensembles behind one apply/adjoint interface
 * ``signals``    piecewise-constant test signals, measurements, NMSE
-* ``tvamp``      total-variation AMP baseline
+* ``tvamp``      total-variation AMP baseline (the same loop, a TV prox denoiser)
 * ``harness``    Monte-Carlo phase grids, convergence traces, runtime, CSV/JSON
 * ``cli``        ``ssamp`` command line entry point
 """

@@ -35,7 +35,7 @@ from .operators import (
     make_subsampled_wht,
 )
 from .signals import MODELS, SignalSpec, generate, measure, nmse
-from .solver import DivergenceError, PriorParams, SolverConfig, solve
+from .solver import DivergenceError, PriorParams, SolverConfig, default_em_params, solve
 from .tvamp import TvampConfig, tvamp_solve
 
 __all__ = [
@@ -251,7 +251,7 @@ def solve_instance(config, op, y, k, truth, target_nmse):
         params = (
             PriorParams(config.q, config.sigma0**2, config.delta)
             if config.q is not None
-            else None
+            else default_em_params(op, y, config.delta)
         )
     else:
         q = config.q if config.q is not None else k / (config.n - 1)

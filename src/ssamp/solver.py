@@ -1,17 +1,19 @@
 """Sum-product AMP solver for piecewise-constant signals.
 
-One iteration, in order:
+``amp_loop`` is the AMP iteration, shared with the TV baseline, which
+passes another denoiser: pseudodata rho = H^T r + mu, the denoiser, and
+the residual with the Onsager correction (N/M) <eta'>, damped by beta.
 
-1. pseudodata   rho = H^T r + mu, with shared channel variance theta
-                from the running coordinate variances (or the residual
-                norm, see ``theta_mode``)
+The chain denoiser (``ChainDenoiser``) does per call, in order:
+
+1. the shared channel variance theta, from the running coordinate
+   variances (or the residual norm, see ``theta_mode``)
 2. rightward message update along the difference chain (Jacobi: reads the
    previous iteration's messages)
 3. leftward message update, mirrored
 4. coordinate denoising through the spike-and-slab mixture posterior
-5. residual update with the Onsager correction (N/M) <eta'>, optionally
-   damped by beta
-6. optional expectation-maximization refresh of (q, sigma0_sq)
+5. optional expectation-maximization refresh of (q, sigma0_sq), used from
+   the next call on
 
 Messages at the two chain ends have no upstream neighbor and stay pinned
 at mean zero and the slab variance.
@@ -38,8 +40,9 @@ __all__ = [
     "Q_MAX",
     "SIGMA0_SQ_MIN",
     "THETA_FLOOR",
+    "check_loop_settings",
     "init_state",
-    "update_pseudodata",
+    "channel_variance",
     "r2p_update",
     "l2p_update",
     "denoise",
@@ -48,7 +51,8 @@ __all__ = [
     "em_update",
     "default_em_params",
     "resolve_beta",
-    "iterate",
+    "amp_loop",
+    "ChainDenoiser",
     "solve",
 ]
 
@@ -61,7 +65,8 @@ THETA_MODES = ("variance_sum", "residual_norm")
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the state picks up NaN or Inf during iteration."""
+    """Raised when an AMP iteration's denoiser rejects its input or the
+    estimate or residual picks up NaN or Inf."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,16 @@ class PriorParams:
             raise ValueError("delta must be nonnegative")
 
 
+def check_loop_settings(max_iters: int, tol: float, damping_beta: float):
+    """Reject AMP loop settings no run can use."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if tol < 0.0:
+        raise ValueError("tol must be nonnegative")
+    if not 0.0 < damping_beta <= 1.0:
+        raise ValueError("damping_beta must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 2000
@@ -94,28 +109,23 @@ class SolverConfig:
     theta_mode: str = "variance_sum"
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
-        if self.damping_beta is not None and not 0.0 < self.damping_beta <= 1.0:
-            raise ValueError("damping_beta must lie in (0, 1]")
+        beta = 1.0 if self.damping_beta is None else self.damping_beta
+        check_loop_settings(self.max_iters, self.tol, beta)
         if self.theta_mode not in THETA_MODES:
             raise ValueError(f"unknown theta_mode {self.theta_mode!r}")
 
 
 @dataclass(frozen=True)
 class SolverState:
-    mu: np.ndarray
+    """What the chain denoiser carries from one iteration to the next."""
+
     sigma_sq: np.ndarray
-    r: np.ndarray
     rho: np.ndarray
     theta: float
     r2p_mean: np.ndarray
     r2p_var: np.ndarray
     l2p_mean: np.ndarray
     l2p_var: np.ndarray
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -127,38 +137,31 @@ class SolveReport:
     nmse_trace: np.ndarray | None = None
 
 
-def init_state(n: int, m: int, y: np.ndarray, params: PriorParams) -> SolverState:
-    """Zero estimate, slab-variance uncertainty, residual seeded with y."""
+def init_state(n: int, params: PriorParams) -> SolverState:
+    """Slab-variance uncertainty everywhere, before the first pseudodata."""
     if n < 2:
         raise ValueError("need at least two coordinates")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"y must have shape ({m},)")
     s0 = params.sigma0_sq
     return SolverState(
-        mu=np.zeros(n),
         sigma_sq=np.full(n, s0),
-        r=y.copy(),
         rho=np.zeros(n),
         theta=max(s0, THETA_FLOOR),
         r2p_mean=np.zeros(n),
         r2p_var=np.full(n, s0),
         l2p_mean=np.zeros(n),
         l2p_var=np.full(n, s0),
-        iteration=0,
     )
 
 
-def update_pseudodata(
-    state: SolverState, op: LinearOperator, params: PriorParams, config: SolverConfig
-):
-    """rho = H^T r + mu and the shared channel variance theta."""
-    rho = op.adjoint(state.r) + state.mu
-    if config.theta_mode == "variance_sum":
-        theta = params.delta + float(np.sum(state.sigma_sq)) / op.m
+def channel_variance(
+    state: SolverState, r: np.ndarray, m: int, params: PriorParams, theta_mode: str
+) -> float:
+    """The shared pseudodata channel variance theta, floored at THETA_FLOOR."""
+    if theta_mode == "variance_sum":
+        theta = params.delta + float(np.sum(state.sigma_sq)) / m
     else:
-        theta = float(state.r @ state.r) / op.m
-    return rho, max(theta, THETA_FLOOR)
+        theta = float(r @ r) / m
+    return max(theta, THETA_FLOOR)
 
 
 def _message(mean: np.ndarray, var: np.ndarray, params: PriorParams) -> SsfMessage:
@@ -205,15 +208,16 @@ def denoise(state: SolverState, params: PriorParams):
 
 
 def update_residual(
-    state: SolverState,
     op: LinearOperator,
     y: np.ndarray,
-    mean_eta_prime: float,
+    mu: np.ndarray,
+    r: np.ndarray,
+    onsager: float,
     beta: float,
 ) -> np.ndarray:
-    """Onsager-corrected residual, damped toward the previous residual."""
-    candidate = y - op.apply(state.mu) + state.r * (op.n / op.m) * mean_eta_prime
-    return (1.0 - beta) * state.r + beta * candidate
+    """Onsager-corrected residual of estimate mu, damped toward the previous r."""
+    candidate = y - op.apply(mu) + r * (op.n / op.m) * onsager
+    return (1.0 - beta) * r + beta * candidate
 
 
 def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
@@ -254,8 +258,8 @@ def em_update(rho: np.ndarray, theta: float, params: PriorParams) -> PriorParams
     return PriorParams(q=q_new, sigma0_sq=s0_new, delta=params.delta)
 
 
-def default_em_params(op: LinearOperator, y: np.ndarray) -> PriorParams:
-    """Scale-robust starting point for EM runs.
+def default_em_params(op: LinearOperator, y: np.ndarray, delta: float = 0.0) -> PriorParams:
+    """Scale-robust starting point for EM runs with noise variance delta.
 
     q starts at 0.1; the slab variance at half the sample variance of the
     first matched-filter pseudodata differences, which tracks the signal's
@@ -263,7 +267,7 @@ def default_em_params(op: LinearOperator, y: np.ndarray) -> PriorParams:
     """
     rho0 = op.adjoint(np.asarray(y, dtype=float))
     s2 = float(np.var(np.diff(rho0))) / 2.0
-    return PriorParams(q=0.1, sigma0_sq=max(s2, SIGMA0_SQ_MIN), delta=0.0)
+    return PriorParams(q=0.1, sigma0_sq=max(s2, SIGMA0_SQ_MIN), delta=delta)
 
 
 def resolve_beta(config: SolverConfig, op: LinearOperator) -> float:
@@ -273,34 +277,87 @@ def resolve_beta(config: SolverConfig, op: LinearOperator) -> float:
     return op.default_beta
 
 
-def iterate(
-    state: SolverState,
+def amp_loop(
     op: LinearOperator,
     y: np.ndarray,
-    params: PriorParams,
-    config: SolverConfig,
-):
-    """One full sweep; returns the next state and possibly updated params."""
-    rho, theta = update_pseudodata(state, op, params, config)
-    st = replace(state, rho=rho, theta=theta)
-    r2m, r2v = r2p_update(st, params)
-    l2m, l2v = l2p_update(st, params)
-    st = replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
-    mu, sigma_sq, mean_eta_prime = denoise(st, params)
-    st = replace(st, mu=mu, sigma_sq=sigma_sq)
-    r = update_residual(st, op, y, mean_eta_prime, resolve_beta(config, op))
-    st = replace(st, r=r, iteration=state.iteration + 1)
-    if config.em_enabled:
-        params = em_update(st.rho, st.theta, params)
-    return st, params
+    denoiser,
+    max_iters: int,
+    tol: float,
+    beta: float,
+    truth: np.ndarray | None = None,
+    target_nmse: float | None = None,
+) -> SolveReport:
+    """Run AMP around ``denoiser(rho, r) -> (mu, onsager)`` from mu = 0, r = y.
 
-
-def _state_finite(state: SolverState) -> bool:
-    return bool(
-        np.all(np.isfinite(state.mu))
-        and np.all(np.isfinite(state.sigma_sq))
-        and np.all(np.isfinite(state.r))
+    Stops when the relative estimate change ||mu_new - mu||^2 / ||mu||^2
+    drops to tol (using ||mu_new||^2 alone while the estimate is still
+    zero), or earlier when an nmse target against ``truth`` is met.
+    Raises DivergenceError naming the iteration when the denoiser rejects
+    its input or mu or r stop being finite.  final_params is left None.
+    """
+    check_loop_settings(max_iters, tol, beta)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (op.m,):
+        raise ValueError(f"y must have shape ({op.m},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    mu = np.zeros(op.n)
+    r = y.copy()
+    trace = [] if truth is not None else None
+    converged = False
+    for t in range(1, max_iters + 1):
+        rho = op.adjoint(r) + mu
+        try:
+            mu_new, onsager = denoiser(rho, r)
+        except (ValueError, FloatingPointError) as exc:
+            # overflow inside an iteration surfaces as a rejected denoiser input
+            raise DivergenceError(f"solver state diverged at iteration {t}") from exc
+        r = update_residual(op, y, mu_new, r, onsager, beta)
+        if not (np.all(np.isfinite(mu_new)) and np.all(np.isfinite(r))):
+            raise DivergenceError(f"solver state diverged at iteration {t}")
+        step = float(np.sum((mu_new - mu) ** 2))
+        base = float(np.sum(mu**2))
+        rel = step / base if base > 0.0 else float(np.sum(mu_new**2))
+        mu = mu_new
+        if trace is not None:
+            trace.append(_nmse(truth, mu))
+            if target_nmse is not None and trace[-1] <= target_nmse:
+                converged = True
+                break
+        if rel <= tol:
+            converged = True
+            break
+    return SolveReport(
+        estimate=mu,
+        iters_run=t,
+        converged=converged,
+        final_params=None,
+        nmse_trace=None if trace is None else np.asarray(trace),
     )
+
+
+class ChainDenoiser:
+    """The chain denoiser; keeps its last ``state`` and the ``params`` the
+    next call uses, which EM (when enabled) refreshes after each call."""
+
+    def __init__(self, n: int, m: int, params: PriorParams, config: SolverConfig):
+        self.m = m
+        self.config = config
+        self.params = params
+        self.state = init_state(n, params)
+
+    def __call__(self, rho: np.ndarray, r: np.ndarray):
+        params = self.params
+        theta = channel_variance(self.state, r, self.m, params, self.config.theta_mode)
+        st = replace(self.state, rho=rho, theta=theta)
+        r2m, r2v = r2p_update(st, params)
+        l2m, l2v = l2p_update(st, params)
+        st = replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
+        mu, sigma_sq, mean_eta_prime = denoise(st, params)
+        self.state = replace(st, sigma_sq=sigma_sq)
+        if self.config.em_enabled:
+            self.params = em_update(rho, theta, params)
+        return mu, mean_eta_prime
 
 
 def solve(
@@ -311,57 +368,19 @@ def solve(
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
 ) -> SolveReport:
-    """Run the iteration to tolerance or max_iters.
+    """Run ``amp_loop`` with the chain denoiser; final_params is the last prior.
 
-    Stops when the relative estimate change ||mu_new - mu||^2 / ||mu||^2
-    drops to config.tol (using ||mu_new||^2 alone while the estimate is
-    still zero), or earlier when an nmse target against ``truth`` is met.
     params may be None only with EM enabled, in which case the
-    scale-derived defaults start the run.
+    scale-derived noiseless defaults start the run.
     """
     config = config or SolverConfig()
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.m,):
-        raise ValueError(f"y must have shape ({op.m},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
     if params is None:
         if not config.em_enabled:
             raise ValueError("params may be omitted only when EM is enabled")
         params = default_em_params(op, y)
-    state = init_state(op.n, op.m, y, params)
-
-    trace = [] if truth is not None else None
-    converged = False
-    for _ in range(config.max_iters):
-        prev_mu = state.mu
-        try:
-            state, params = iterate(state, op, y, params, config)
-        except (ValueError, FloatingPointError) as exc:
-            # overflow inside an iteration surfaces as a NaN-variance
-            # rejection from the message kernels
-            raise DivergenceError(
-                f"solver state diverged at iteration {state.iteration + 1}"
-            ) from exc
-        if not _state_finite(state):
-            raise DivergenceError(
-                f"solver state diverged at iteration {state.iteration}"
-            )
-        step = float(np.sum((state.mu - prev_mu) ** 2))
-        base = float(np.sum(prev_mu**2))
-        rel = step / base if base > 0.0 else float(np.sum(state.mu**2))
-        if trace is not None:
-            trace.append(_nmse(truth, state.mu))
-        if target_nmse is not None and trace is not None and trace[-1] <= target_nmse:
-            converged = True
-            break
-        if rel <= config.tol:
-            converged = True
-            break
-    return SolveReport(
-        estimate=state.mu,
-        iters_run=state.iteration,
-        converged=converged,
-        final_params=params,
-        nmse_trace=None if trace is None else np.asarray(trace),
+    denoiser = ChainDenoiser(op.n, op.m, params, config)
+    report = amp_loop(
+        op, y, denoiser, config.max_iters, config.tol, resolve_beta(config, op),
+        truth, target_nmse,
     )
+    return replace(report, final_params=denoiser.params)

@@ -10,7 +10,9 @@ lam_t = lam * sqrt(theta_t) tracks the iteration noise level
 theta_t = ||r||^2 / m, so the TV bias shrinks as the residual does; a
 fixed threshold instead leaves an O(lam^2) error floor.  The Onsager
 coefficient is the denoiser divergence, which for this prox equals the
-number of constant segments of the output divided by n.
+number of constant segments of the output divided by n.  The iteration,
+stopping rule and divergence rule are ``solver.amp_loop``'s: this module
+supplies only the denoiser.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LinearOperator
-from .signals import nmse as _nmse
-from .solver import DivergenceError, SolveReport
+from .solver import SolveReport, amp_loop, check_loop_settings
 
 __all__ = ["TvampConfig", "tv_prox", "tv_divergence", "tvamp_solve", "SEGMENT_TOL"]
 
@@ -39,12 +40,7 @@ class TvampConfig:
     def __post_init__(self):
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
-        if not 0.0 < self.damping_beta <= 1.0:
-            raise ValueError("damping_beta must lie in (0, 1]")
+        check_loop_settings(self.max_iters, self.tol, self.damping_beta)
 
 
 def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
@@ -152,47 +148,13 @@ def tvamp_solve(
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
 ) -> SolveReport:
-    """AMP iteration with the TV prox; stopping mirrors the main solver."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.m,):
-        raise ValueError(f"y must have shape ({op.m},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    beta = config.damping_beta
-    mu = np.zeros(op.n)
-    r = y.copy()
-    trace = [] if truth is not None else None
-    converged = False
-    iters = 0
-    for it in range(1, config.max_iters + 1):
+    """``amp_loop`` around the TV prox at threshold lam * sqrt(||r||^2 / m)."""
+
+    def denoiser(rho, r):
         theta = float(np.sum(r**2)) / op.m
-        rho = op.adjoint(r) + mu
-        threshold = config.lam * np.sqrt(theta)
-        if not np.isfinite(threshold):
-            raise DivergenceError(f"solver state diverged at iteration {it}")
-        mu_new = tv_prox(rho, threshold)
-        onsager = tv_divergence(mu_new)
-        candidate = y - op.apply(mu_new) + r * (op.n / op.m) * onsager
-        r = (1.0 - beta) * r + beta * candidate
-        if not (np.all(np.isfinite(mu_new)) and np.all(np.isfinite(r))):
-            raise DivergenceError(f"solver state diverged at iteration {it}")
-        step = float(np.sum((mu_new - mu) ** 2))
-        base = float(np.sum(mu**2))
-        rel = step / base if base > 0.0 else float(np.sum(mu_new**2))
-        mu = mu_new
-        iters = it
-        if trace is not None:
-            trace.append(_nmse(truth, mu))
-        if target_nmse is not None and trace is not None and trace[-1] <= target_nmse:
-            converged = True
-            break
-        if rel <= config.tol:
-            converged = True
-            break
-    return SolveReport(
-        estimate=mu,
-        iters_run=iters,
-        converged=converged,
-        final_params=None,
-        nmse_trace=None if trace is None else np.asarray(trace),
+        mu = tv_prox(rho, config.lam * np.sqrt(theta))
+        return mu, tv_divergence(mu)
+
+    return amp_loop(
+        op, y, denoiser, config.max_iters, config.tol, config.damping_beta, truth, target_nmse
     )

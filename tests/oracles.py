@@ -3,14 +3,32 @@
 Nothing here calls back into the package's fusion or prox code paths:
 posterior moments come from direct quadrature of the unnormalized density,
 derivatives from central differences, EM quantities from extended-precision
-arithmetic, and the TV prox from an iterative dual solver.  The one
-exception is ``tv_prox_sweep_reference``: a frozen copy of the taut-string
-sweep indexing numpy arrays, kept to check faster rewrites byte for byte.
+arithmetic, and the TV prox from an iterative dual solver.  The
+exceptions are frozen copies kept to check rewrites byte for byte:
+``tv_prox_sweep_reference``, the taut-string sweep indexing numpy arrays,
+and ``solve_reference``/``tvamp_solve_reference``, the two solvers' own
+AMP loops from before they shared one, built from the package's public
+sub-steps.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+
+from ssamp.signals import nmse
+from ssamp.solver import (
+    THETA_FLOOR,
+    DivergenceError,
+    SolveReport,
+    denoise,
+    em_update,
+    init_state,
+    l2p_update,
+    r2p_update,
+)
+from ssamp.tvamp import tv_divergence, tv_prox
 
 # ---------------------------------------------------------------------------
 # quadrature oracle for the mixture-channel posteriors
@@ -170,15 +188,24 @@ def _dt(z):
     return out
 
 
-def tv_prox_pg(y, lam, iters):
-    """Plain projected gradient on the dual box problem."""
+def tv_prox_pg(y, lam, iters, gap_tol=1e-12):
+    """Plain projected gradient on the dual box problem.
+
+    Stops after ``iters`` steps, or earlier once the primal-dual gap at
+    x = y - D^T z, sum(lam |Dx| - z Dx), is at most gap_tol: the gap bounds
+    the primal objective's distance to its minimum, so the returned x is
+    certified to within gap_tol of optimal.
+    """
     y = np.asarray(y, dtype=float)
     if y.size < 2 or lam == 0.0:
         return y.copy()
     z = np.zeros(y.size - 1)
     for _ in range(iters):
         x = y - _dt(z)
-        grad = -(x[1:] - x[:-1])
+        dx = x[1:] - x[:-1]
+        if float(np.sum(lam * np.abs(dx) - z * dx)) <= gap_tol:
+            break
+        grad = -dx
         z = np.clip(z - grad / 4.0, -lam, lam)
     return y - _dt(z)
 
@@ -294,3 +321,100 @@ def tv_prox_sweep_reference(values, lam):
                 vmax += (umax + lam) / (k - k0 + 1)
                 umax = -lam
                 kplus = k
+
+
+# ---------------------------------------------------------------------------
+# frozen per-solver AMP loops
+
+
+def solve_reference(op, y, params, config, truth=None, target_nmse=None):
+    """The chain solver's loop before the shared AMP loop, step for step.
+
+    Pseudodata and theta, rightward and leftward messages, coordinate
+    posterior, damped Onsager residual, then the EM refresh; divergence is
+    checked on mu, sigma_sq and r.  Returns a SolveReport or raises
+    DivergenceError, and must match ``ssamp.solver.solve`` byte for byte.
+    """
+    y = np.asarray(y, dtype=float)
+    beta = config.damping_beta if config.damping_beta is not None else op.default_beta
+    state = init_state(op.n, params)
+    mu = np.zeros(op.n)
+    r = y.copy()
+    trace = [] if truth is not None else None
+    converged = False
+    for it in range(1, config.max_iters + 1):
+        prev_mu = mu
+        try:
+            rho = op.adjoint(r) + mu
+            if config.theta_mode == "variance_sum":
+                theta = params.delta + float(np.sum(state.sigma_sq)) / op.m
+            else:
+                theta = float(r @ r) / op.m
+            st = replace(state, rho=rho, theta=max(theta, THETA_FLOOR))
+            r2m, r2v = r2p_update(st, params)
+            l2m, l2v = l2p_update(st, params)
+            st = replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
+            mu, sigma_sq, mean_eta_prime = denoise(st, params)
+            state = replace(st, sigma_sq=sigma_sq)
+            candidate = y - op.apply(mu) + r * (op.n / op.m) * mean_eta_prime
+            r = (1.0 - beta) * r + beta * candidate
+            if config.em_enabled:
+                params = em_update(st.rho, st.theta, params)
+        except (ValueError, FloatingPointError) as exc:
+            raise DivergenceError(f"solver state diverged at iteration {it}") from exc
+        if not (
+            np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma_sq)) and np.all(np.isfinite(r))
+        ):
+            raise DivergenceError(f"solver state diverged at iteration {it}")
+        step = float(np.sum((mu - prev_mu) ** 2))
+        base = float(np.sum(prev_mu**2))
+        rel = step / base if base > 0.0 else float(np.sum(mu**2))
+        if trace is not None:
+            trace.append(nmse(truth, mu))
+        if target_nmse is not None and trace is not None and trace[-1] <= target_nmse:
+            converged = True
+            break
+        if rel <= config.tol:
+            converged = True
+            break
+    return SolveReport(mu, it, converged, params, None if trace is None else np.asarray(trace))
+
+
+def tvamp_solve_reference(op, y, config, truth=None, target_nmse=None):
+    """The TV-AMP loop before the shared AMP loop, step for step.
+
+    Checks the threshold before the prox, and mu and r after the residual.
+    Returns a SolveReport or raises DivergenceError, and must match
+    ``ssamp.tvamp.tvamp_solve`` byte for byte.
+    """
+    y = np.asarray(y, dtype=float)
+    beta = config.damping_beta
+    mu = np.zeros(op.n)
+    r = y.copy()
+    trace = [] if truth is not None else None
+    converged = False
+    for it in range(1, config.max_iters + 1):
+        theta = float(np.sum(r**2)) / op.m
+        rho = op.adjoint(r) + mu
+        threshold = config.lam * np.sqrt(theta)
+        if not np.isfinite(threshold):
+            raise DivergenceError(f"solver state diverged at iteration {it}")
+        mu_new = tv_prox(rho, threshold)
+        onsager = tv_divergence(mu_new)
+        candidate = y - op.apply(mu_new) + r * (op.n / op.m) * onsager
+        r = (1.0 - beta) * r + beta * candidate
+        if not (np.all(np.isfinite(mu_new)) and np.all(np.isfinite(r))):
+            raise DivergenceError(f"solver state diverged at iteration {it}")
+        step = float(np.sum((mu_new - mu) ** 2))
+        base = float(np.sum(mu**2))
+        rel = step / base if base > 0.0 else float(np.sum(mu_new**2))
+        mu = mu_new
+        if trace is not None:
+            trace.append(nmse(truth, mu))
+        if target_nmse is not None and trace is not None and trace[-1] <= target_nmse:
+            converged = True
+            break
+        if rel <= config.tol:
+            converged = True
+            break
+    return SolveReport(mu, it, converged, None, None if trace is None else np.asarray(trace))

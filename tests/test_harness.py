@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ssamp.harness
 from ssamp.harness import (
     ConvergenceResult,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from ssamp.harness import (
     solve_instance,
 )
 from ssamp.signals import nmse
+from ssamp.solver import default_em_params, solve
 
 
 def _cell(m_over_n, k_over_m, successes, trials=10, skipped=False):
@@ -179,6 +181,24 @@ def test_make_instance_replays_the_single_trial():
     trial = run_single_trial(cfg, 0.5, 0.1, 100, 10, 3)
     assert trial.iters == report.iters_run
     assert trial.nmse == nmse(x, report.estimate)
+
+
+def test_solve_instance_em_carries_delta(monkeypatch):
+    # with q unset, EM starts from the scale-derived prior at the configured delta
+    starts = []
+
+    def recording(op, y, params, *args, **kwargs):
+        starts.append(params)
+        return solve(op, y, params, *args, **kwargs)
+
+    monkeypatch.setattr(ssamp.harness, "solve", recording)
+    for mode in ("variance_sum", "residual_norm"):
+        cfg = ExperimentConfig(n=120, solver="ssamp_em", theta_mode=mode, delta=1e-2, max_iters=20)
+        op, x, y = make_instance(cfg, 0.5, 0.1, 60, 6, 0)
+        report = solve_instance(cfg, op, y, 6, truth=x, target_nmse=None)
+        assert starts[-1] == default_em_params(op, y, 1e-2)
+        assert starts[-1].delta == 1e-2
+        assert report.final_params.delta == 1e-2
 
 
 def test_phase_grid_deterministic_reproduction():

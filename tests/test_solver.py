@@ -13,28 +13,31 @@ from ssamp.operators import (
     make_quasi_toeplitz,
     make_subsampled_dct,
 )
+from oracles import solve_reference, tvamp_solve_reference
 from ssamp.signals import SignalSpec, generate, measure, nmse
 from ssamp.solver import (
     Q_MAX,
     Q_MIN,
     SIGMA0_SQ_MIN,
     THETA_FLOOR,
+    ChainDenoiser,
     DivergenceError,
     PriorParams,
     SolverConfig,
     SolverState,
+    amp_loop,
+    channel_variance,
     default_em_params,
     denoise,
     em_update,
     init_state,
-    iterate,
     l2p_update,
     r2p_update,
     resolve_beta,
     solve,
-    update_pseudodata,
     update_residual,
 )
+from ssamp.tvamp import TvampConfig, tvamp_solve
 
 # frozen one-step values from the 50-digit reference implementation
 # (tests/oracles.py em_oracle) for rho, theta, q, sigma0_sq below
@@ -56,50 +59,72 @@ def _easy_instance(n=200, m=100, k=10, op_seed=0, sig_seed=7, delta=0.0):
 
 def _random_state(n, seed, theta=0.7):
     rng = np.random.default_rng(seed)
+    # the first and third draws are discarded; the fields keep their values per seed
+    rng.normal(size=n)
+    sigma_sq = np.exp(rng.uniform(-2, 1, n))
+    rng.normal(size=n)
     return SolverState(
-        mu=rng.normal(size=n),
-        sigma_sq=np.exp(rng.uniform(-2, 1, n)),
-        r=rng.normal(size=n),  # unused by the chain updates
+        sigma_sq=sigma_sq,
         rho=rng.normal(size=n) * 2,
         theta=theta,
         r2p_mean=rng.normal(size=n),
         r2p_var=np.exp(rng.uniform(-2, 1, n)),
         l2p_mean=rng.normal(size=n),
         l2p_var=np.exp(rng.uniform(-2, 1, n)),
-        iteration=3,
     )
+
+
+class _Recorder:
+    """Denoiser for amp_loop that records its inputs and returns fixed outputs."""
+
+    def __init__(self, mu, onsager=0.0):
+        self.mu, self.onsager = mu, onsager
+        self.calls = []
+
+    def __call__(self, rho, r):
+        self.calls.append((rho, r))
+        return self.mu, self.onsager
 
 
 # ---------------------------------------------------------------- init
 
 
 def test_init_state_fields():
-    y = np.array([1.0, 2.0])
-    st0 = init_state(4, 2, y, PriorParams(q=0.1, sigma0_sq=1.0))
-    assert np.array_equal(st0.mu, np.zeros(4))
+    st0 = init_state(4, PriorParams(q=0.1, sigma0_sq=1.0))
     assert np.array_equal(st0.sigma_sq, np.ones(4))
-    assert np.array_equal(st0.r, y)
     assert np.array_equal(st0.r2p_mean, np.zeros(4))
     assert np.array_equal(st0.r2p_var, np.ones(4))
     assert np.array_equal(st0.l2p_mean, np.zeros(4))
     assert np.array_equal(st0.l2p_var, np.ones(4))
-    assert st0.iteration == 0
+    # the loop starts from mu = 0 and r = y: the first pseudodata is H^T y
+    op = make_iid_gaussian(2, 4, 0)
+    y = np.array([1.0, 2.0])
+    rec = _Recorder(np.zeros(4))
+    rep = amp_loop(op, y, rec, 1, 0.0, 1.0)
+    assert rep.iters_run == 1 and len(rec.calls) == 1
+    rho, r = rec.calls[0]
+    np.testing.assert_array_equal(r, y)
+    np.testing.assert_array_equal(rho, op.adjoint(y))
 
 
 def test_init_state_residual_is_a_copy():
+    op = make_iid_gaussian(3, 5, 0)
     y = np.array([1.0, 2.0, 3.0])
-    st0 = init_state(5, 3, y, PriorParams(q=0.1, sigma0_sq=0.25))
+    rec = _Recorder(np.zeros(5))
+    amp_loop(op, y, rec, 1, 0.0, 1.0)
+    _, r = rec.calls[0]
     y[0] = 99.0
-    assert st0.r[0] == 1.0
+    assert r[0] == 1.0
+    st0 = init_state(5, PriorParams(q=0.1, sigma0_sq=0.25))
     assert np.all(st0.sigma_sq == 0.25)
 
 
 def test_init_state_validation():
     p = PriorParams(q=0.1, sigma0_sq=1.0)
     with pytest.raises(ValueError):
-        init_state(1, 2, np.zeros(2), p)
+        init_state(1, p)
     with pytest.raises(ValueError):
-        init_state(4, 2, np.zeros(3), p)
+        amp_loop(make_iid_gaussian(2, 4, 0), np.zeros(3), _Recorder(np.zeros(4)), 1, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------- params / config
@@ -142,41 +167,44 @@ def test_resolve_beta():
 def test_pseudodata_matches_dense_formula():
     op = make_iid_gaussian(5, 9, 1)
     dense = op.to_dense()
+    mu = np.random.default_rng(2).normal(size=9)
+    y = np.random.default_rng(5).normal(size=5)
+    rec = _Recorder(mu, onsager=0.3)
+    amp_loop(op, y, rec, 2, 0.0, 1.0)
+    rho, r = rec.calls[1]
+    np.testing.assert_allclose(rho, dense.T @ r + mu, rtol=1e-12)
     st0 = _random_state(9, 2)
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
-    st0 = dataclasses.replace(st0, r=np.random.default_rng(5).normal(size=5))
-    rho, theta = update_pseudodata(st0, op, params, SolverConfig())
-    np.testing.assert_allclose(rho, dense.T @ st0.r + st0.mu, rtol=1e-12)
+    theta = channel_variance(st0, r, 5, params, "variance_sum")
     assert theta == pytest.approx(np.sum(st0.sigma_sq) / 5, rel=1e-14)
 
 
 def test_pseudodata_zero_residual_returns_mu():
+    # an exact fit with no Onsager term leaves r = 0, so the next rho is mu
     op = make_iid_gaussian(5, 9, 1)
-    st0 = _random_state(9, 2)
-    st0 = dataclasses.replace(st0, r=np.zeros(5))
-    rho, _ = update_pseudodata(st0, op, PriorParams(q=0.1, sigma0_sq=1.0), SolverConfig())
-    np.testing.assert_array_equal(rho, st0.mu)
+    mu = np.random.default_rng(2).normal(size=9)
+    rec = _Recorder(mu)
+    amp_loop(op, op.apply(mu), rec, 2, 0.0, 1.0)
+    rho, r = rec.calls[1]
+    np.testing.assert_array_equal(r, np.zeros(5))
+    np.testing.assert_array_equal(rho, mu)
 
 
 def test_pseudodata_theta_modes():
-    op = make_iid_gaussian(2, 4, 1)
-    st0 = _random_state(4, 2)
-    st0 = dataclasses.replace(st0, sigma_sq=np.zeros(4), r=np.array([3.0, 4.0]))
+    st0 = dataclasses.replace(_random_state(4, 2), sigma_sq=np.zeros(4))
+    r = np.array([3.0, 4.0])
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=1e-10)
-    _, theta = update_pseudodata(st0, op, params, SolverConfig(theta_mode="variance_sum"))
+    theta = channel_variance(st0, r, 2, params, "variance_sum")
     assert theta == pytest.approx(1e-10, rel=1e-12)
-    _, theta = update_pseudodata(st0, op, params, SolverConfig(theta_mode="residual_norm"))
+    theta = channel_variance(st0, r, 2, params, "residual_norm")
     assert theta == pytest.approx(12.5, rel=1e-14)
 
 
 def test_pseudodata_theta_floor():
-    op = make_iid_gaussian(2, 4, 1)
-    st0 = _random_state(4, 2)
-    st0 = dataclasses.replace(st0, sigma_sq=np.zeros(4), r=np.zeros(2))
+    st0 = dataclasses.replace(_random_state(4, 2), sigma_sq=np.zeros(4))
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
     for mode in ("variance_sum", "residual_norm"):
-        _, theta = update_pseudodata(st0, op, params, SolverConfig(theta_mode=mode))
-        assert theta == THETA_FLOOR
+        assert channel_variance(st0, np.zeros(2), 2, params, mode) == THETA_FLOOR
 
 
 # ---------------------------------------------------------------- chain messages
@@ -205,7 +233,7 @@ def test_r2p_boundary_pinned_and_shifted():
 def test_r2p_zero_input_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    st0 = init_state(n, 3, np.zeros(3), params)
+    st0 = init_state(n, params)
     st0 = dataclasses.replace(st0, rho=np.zeros(n), theta=0.5)
     mean, var = r2p_update(st0, params)
     np.testing.assert_array_equal(mean, np.zeros(n))
@@ -248,7 +276,7 @@ def test_r2p_gaussian_filtering_collapse():
 def test_denoise_zero_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    st0 = init_state(n, 3, np.zeros(3), params)
+    st0 = init_state(n, params)
     st0 = dataclasses.replace(st0, rho=np.zeros(n), theta=0.5)
     mu, sigma_sq, mep = denoise(st0, params)
     np.testing.assert_array_equal(mu, np.zeros(n))
@@ -313,31 +341,29 @@ def test_denoiser_linear_when_spike_absent():
 
 def test_residual_plain_when_no_onsager():
     op = make_iid_gaussian(5, 9, 1)
-    st0 = _random_state(9, 2)
-    st0 = dataclasses.replace(st0, r=np.random.default_rng(5).normal(size=5))
+    mu = np.random.default_rng(2).normal(size=9)
+    r0 = np.random.default_rng(5).normal(size=5)
     y = np.random.default_rng(6).normal(size=5)
-    r = update_residual(st0, op, y, 0.0, 1.0)
-    np.testing.assert_allclose(r, y - op.apply(st0.mu), rtol=1e-13)
+    r = update_residual(op, y, mu, r0, 0.0, 1.0)
+    np.testing.assert_allclose(r, y - op.apply(mu), rtol=1e-13)
 
 
 def test_residual_algebraic_case():
     op = make_iid_gaussian(5, 9, 1)
     y = np.random.default_rng(6).normal(size=5)
-    st0 = _random_state(9, 2)
-    st0 = dataclasses.replace(st0, mu=np.zeros(9), r=y.copy())
     c = 0.3
-    r = update_residual(st0, op, y, c, 1.0)
+    r = update_residual(op, y, np.zeros(9), y.copy(), c, 1.0)
     np.testing.assert_allclose(r, y * (1 + c * 9 / 5), rtol=1e-13)
 
 
 def test_residual_damping_convex_combination():
     op = make_iid_gaussian(5, 9, 1)
-    st0 = _random_state(9, 2)
-    st0 = dataclasses.replace(st0, r=np.random.default_rng(5).normal(size=5))
+    mu = np.random.default_rng(2).normal(size=9)
+    r0 = np.random.default_rng(5).normal(size=5)
     y = np.random.default_rng(6).normal(size=5)
-    full = update_residual(st0, op, y, 0.2, 1.0)
-    half = update_residual(st0, op, y, 0.2, 0.5)
-    np.testing.assert_allclose(half, 0.5 * st0.r + 0.5 * full, rtol=1e-13)
+    full = update_residual(op, y, mu, r0, 0.2, 1.0)
+    half = update_residual(op, y, mu, r0, 0.2, 0.5)
+    np.testing.assert_allclose(half, 0.5 * r0 + 0.5 * full, rtol=1e-13)
 
 
 # ---------------------------------------------------------------- EM
@@ -405,45 +431,47 @@ def test_em_learns_jump_rate_from_data():
     assert hits >= 5
 
 
-# ---------------------------------------------------------------- iterate
+# ---------------------------------------------------------------- chain denoiser
 
 
-def test_iterate_composes_sub_operations():
+def test_solve_composes_sub_operations():
     op, x, y, params = _easy_instance()
     config = SolverConfig(em_enabled=True, theta_mode="variance_sum")
-    state = init_state(op.n, op.m, y, params)
-    # drive a couple of steps so the state is generic
-    for _ in range(3):
-        state, params = iterate(state, op, y, params, config)
+    beta = resolve_beta(config, op)
+    state = init_state(op.n, params)
+    mu, r = np.zeros(op.n), y.copy()
+    want_params = params
+    for _ in range(4):
+        rho = op.adjoint(r) + mu
+        theta = channel_variance(state, r, op.m, want_params, config.theta_mode)
+        st = dataclasses.replace(state, rho=rho, theta=theta)
+        r2m, r2v = r2p_update(st, want_params)
+        l2m, l2v = l2p_update(st, want_params)
+        st = dataclasses.replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
+        mu, sigma_sq, mep = denoise(st, want_params)
+        state = dataclasses.replace(st, sigma_sq=sigma_sq)
+        r = update_residual(op, y, mu, r, mep, beta)
+        want_params = em_update(rho, theta, want_params)
 
-    got_state, got_params = iterate(state, op, y, params, config)
-
-    rho, theta = update_pseudodata(state, op, params, config)
-    st = dataclasses.replace(state, rho=rho, theta=theta)
-    r2m, r2v = r2p_update(st, params)
-    l2m, l2v = l2p_update(st, params)
-    st = dataclasses.replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
-    mu, sigma_sq, mep = denoise(st, params)
-    st = dataclasses.replace(st, mu=mu, sigma_sq=sigma_sq)
-    r = update_residual(st, op, y, mep, resolve_beta(config, op))
-    st = dataclasses.replace(st, r=r, iteration=state.iteration + 1)
-    want_params = em_update(st.rho, st.theta, params)
-
-    assert got_state.iteration == st.iteration
-    for field in ("mu", "sigma_sq", "r", "rho", "r2p_mean", "r2p_var", "l2p_mean", "l2p_var"):
-        np.testing.assert_array_equal(getattr(got_state, field), getattr(st, field))
-    assert got_state.theta == st.theta
-    assert got_params.q == want_params.q
-    assert got_params.sigma0_sq == want_params.sigma0_sq
+    got = solve(op, y, params, dataclasses.replace(config, max_iters=4, tol=0.0))
+    assert got.iters_run == 4
+    np.testing.assert_array_equal(got.estimate, mu)
+    assert got.final_params.q == want_params.q
+    assert got.final_params.sigma0_sq == want_params.sigma0_sq
+    denoiser = ChainDenoiser(op.n, op.m, params, config)
+    amp_loop(op, y, denoiser, 4, 0.0, beta)
+    for field in ("sigma_sq", "rho", "r2p_mean", "r2p_var", "l2p_mean", "l2p_var"):
+        np.testing.assert_array_equal(getattr(denoiser.state, field), getattr(state, field))
+    assert denoiser.state.theta == state.theta
 
 
-def test_iterate_fixed_point_drift():
+def test_chain_denoiser_fixed_point_drift():
+    # at rho = x with a zero residual, theta sits at its floor and the
+    # denoiser must hand x back
     op, x, y, params = _easy_instance()
-    config = SolverConfig(theta_mode="residual_norm")
-    state = init_state(op.n, op.m, y, params)
-    state = dataclasses.replace(state, mu=x.copy(), r=np.zeros(op.m))
-    state, _ = iterate(state, op, y, params, config)
-    assert nmse(x, state.mu) <= 1e-10
+    denoiser = ChainDenoiser(op.n, op.m, params, SolverConfig(theta_mode="residual_norm"))
+    mu, _ = denoiser(x.copy(), np.zeros(op.m))
+    assert nmse(x, mu) <= 1e-10
 
 
 def test_theta_modes_agree_on_easy_instance():
@@ -472,14 +500,21 @@ def test_variances_stay_positive():
         x, _ = generate(spec, force_k=min(k, n - 1))
         y = measure(op, x, 0.0, int(rng.integers(1 << 30)))
         params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-12)
-        state = init_state(n, m, y, params)
-        config = SolverConfig()
-        for _ in range(50):
-            state, params = iterate(state, op, y, params, config)
+        denoiser = ChainDenoiser(n, m, params, SolverConfig())
+        calls = []
+
+        def checked(rho, r):
+            out = denoiser(rho, r)
+            state = denoiser.state
             assert np.all(state.sigma_sq > 0)
             assert np.all(state.r2p_var > 0)
             assert np.all(state.l2p_var > 0)
             assert state.theta > 0
+            calls.append(1)
+            return out
+
+        amp_loop(op, y, checked, 50, 0.0, resolve_beta(SolverConfig(), op))
+        assert calls
 
 
 # ---------------------------------------------------------------- solve
@@ -549,12 +584,19 @@ def test_boundary_messages_track_em_slab_variance():
     op, x, y, _ = _easy_instance(n=120, m=60, k=6)
     cfg = SolverConfig(max_iters=40, em_enabled=True, theta_mode="residual_norm")
     params0 = default_em_params(op, y)
-    state = init_state(op.n, op.m, y, params0)
-    params = params0
-    for _ in range(5):
-        state, params = iterate(state, op, y, params, cfg)
+    denoiser = ChainDenoiser(op.n, op.m, params0, cfg)
+    used = []  # (prior a call used, state after that call)
+
+    def recorded(rho, r):
+        params = denoiser.params
+        out = denoiser(rho, r)
+        used.append((params, denoiser.state))
+        return out
+
+    amp_loop(op, y, recorded, 6, 0.0, resolve_beta(cfg, op))
+    assert len(used) == 6
+    params, tracked = used[5]
     assert params.sigma0_sq != params0.sigma0_sq
-    tracked, _ = iterate(state, op, y, params, cfg)
     assert tracked.r2p_var[0] == params.sigma0_sq
     assert tracked.l2p_var[-1] == params.sigma0_sq
     rep = solve(op, y, None, cfg)
@@ -583,3 +625,91 @@ def test_nmse_trend_improves_on_easy_points():
         at5.append(rep.nmse_trace[4])
         at30.append(rep.nmse_trace[29])
     assert np.median(at30) < np.median(at5)
+
+
+def test_amp_loop_divergence_rule():
+    op = make_iid_gaussian(5, 9, 1)
+    y = np.random.default_rng(6).normal(size=5)
+    for exc in (ValueError, FloatingPointError):
+        calls = []
+
+        def rejecting(rho, r, exc=exc):
+            calls.append(1)
+            if len(calls) == 3:
+                raise exc("rejected")
+            return rho * 0.5, 0.1
+
+        with pytest.raises(DivergenceError, match="at iteration 3$"):
+            amp_loop(op, y, rejecting, 10, 0.0, 1.0)
+    for bad in (np.nan, np.inf):
+        # a non-finite estimate, then a finite estimate with a non-finite Onsager term
+        mu = np.zeros(9)
+        mu[4] = bad
+        with pytest.raises(DivergenceError, match="at iteration 1$"):
+            amp_loop(op, y, _Recorder(mu), 10, 0.0, 1.0)
+        with pytest.raises(DivergenceError, match="at iteration 1$"):
+            amp_loop(op, y, _Recorder(np.zeros(9), onsager=bad), 10, 0.0, 1.0)
+
+
+def _outcome(run):
+    """Everything a solve hands back, as bytes, or its divergence message."""
+    try:
+        rep = run()
+    except DivergenceError as exc:
+        return str(exc)
+    trace = None if rep.nmse_trace is None else rep.nmse_trace.tobytes()
+    return rep.estimate.tobytes(), rep.iters_run, rep.converged, trace, rep.final_params
+
+
+def test_amp_loop_matches_frozen_loops_byte_for_byte():
+    n, m, k = 256, 128, 13
+    ops = (
+        make_iid_gaussian(m, n, 40),
+        column_sign_randomize(make_subsampled_dct(m, n, 41), 42),
+        column_sign_randomize(make_quasi_toeplitz(m, n, n, 43), 44),
+    )
+    outcomes = []
+    for case, op in enumerate(ops):
+        spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=50 + case)
+        x, _ = generate(spec, force_k=k)
+        for delta, truth, target in ((0.0, x, 1e-8), (1e-4, x, None), (1e-4, None, None)):
+            y = measure(op, x, delta, 60 + case)
+            runs = [
+                (PriorParams(k / (n - 1), 1.0, delta), SolverConfig(max_iters=60)),
+                (default_em_params(op, y, delta), SolverConfig(max_iters=60, em_enabled=True)),
+                (
+                    default_em_params(op, y, delta),
+                    SolverConfig(max_iters=60, em_enabled=True, theta_mode="residual_norm"),
+                ),
+            ]
+            for params, config in runs:
+                got = _outcome(lambda: solve(op, y, params, config, truth, target))
+                want = _outcome(lambda: solve_reference(op, y, params, config, truth, target))
+                assert got == want, (case, delta, config)
+                outcomes.append(got)
+            tv = TvampConfig(lam=1.0, max_iters=60, damping_beta=0.7 if case else 1.0)
+            got = _outcome(lambda: tvamp_solve(op, y, tv, truth, target))
+            assert got == _outcome(lambda: tvamp_solve_reference(op, y, tv, truth, target))
+            outcomes.append(got)
+    assert all(not isinstance(o, str) for o in outcomes)
+    assert any(o[2] for o in outcomes) and any(not o[2] for o in outcomes)
+
+    # diverging runs: undamped full-band quasi-Toeplitz rows, and a TV threshold far too small
+    op = column_sign_randomize(make_quasi_toeplitz(128, 256, 256, 0), 5000)
+    spec = SignalSpec(n=256, model="gaussian_pwc", q=12 / 255, sigma0=1.0, seed=1000)
+    x, _ = generate(spec, force_k=12)
+    y = measure(op, x, 0.0, 0)
+    params = PriorParams(q=12 / 255, sigma0_sq=1.0, delta=1e-12)
+    config = SolverConfig(max_iters=2000, damping_beta=1.0)
+    tv_op = make_iid_gaussian(64, 128, 0)
+    spec = SignalSpec(n=128, model="gaussian_pwc", q=6 / 127, sigma0=1.0, seed=1000)
+    tv_x, _ = generate(spec, force_k=6)
+    tv_y = measure(tv_op, tv_x, 0.0, 0)
+    tv = TvampConfig(lam=0.05, max_iters=3000, tol=0.0)
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: solve(op, y, params, config, x))
+        assert got == _outcome(lambda: solve_reference(op, y, params, config, x))
+        tv_got = _outcome(lambda: tvamp_solve(tv_op, tv_y, tv, tv_x))
+        assert tv_got == _outcome(lambda: tvamp_solve_reference(tv_op, tv_y, tv, tv_x))
+    assert got == "solver state diverged at iteration 551"
+    assert tv_got.startswith("solver state diverged at iteration ")
