@@ -28,7 +28,6 @@ from .solver import (
     PriorParams,
     SolveReport,
     SolverConfig,
-    SolverState,
     em_update,
     solve,
 )

@@ -4,13 +4,16 @@
 passes another denoiser: pseudodata rho = H^T r + mu, the denoiser, and
 the residual with the Onsager correction (N/M) <eta'>, damped by beta.
 
-The chain denoiser (``ChainDenoiser``) does per call, in order:
+The chain denoiser (``ChainDenoiser``) holds the chain state as plain
+attributes (coordinate variances ``sigma_sq``, the ``r2p``/``l2p``
+messages as (mean, var) pairs, the last ``theta`` and the prior
+``params``) and does per call, in order:
 
 1. the shared channel variance theta, from the running coordinate
    variances (or the residual norm, see ``theta_mode``)
 2. rightward message update along the difference chain (Jacobi: reads the
    previous iteration's messages)
-3. leftward message update, mirrored
+3. leftward message update: the rightward update on reversed views
 4. coordinate denoising through the spike-and-slab mixture posterior
 5. optional expectation-maximization refresh of (q, sigma0_sq), used from
    the next call on
@@ -33,7 +36,6 @@ from .signals import nmse as _nmse
 __all__ = [
     "PriorParams",
     "SolverConfig",
-    "SolverState",
     "SolveReport",
     "DivergenceError",
     "Q_MIN",
@@ -41,16 +43,13 @@ __all__ = [
     "SIGMA0_SQ_MIN",
     "THETA_FLOOR",
     "check_loop_settings",
-    "init_state",
     "channel_variance",
     "r2p_update",
-    "l2p_update",
     "denoise",
     "update_residual",
     "em_posteriors",
     "em_update",
     "default_em_params",
-    "resolve_beta",
     "amp_loop",
     "ChainDenoiser",
     "solve",
@@ -116,19 +115,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SolverState:
-    """What the chain denoiser carries from one iteration to the next."""
-
-    sigma_sq: np.ndarray
-    rho: np.ndarray
-    theta: float
-    r2p_mean: np.ndarray
-    r2p_var: np.ndarray
-    l2p_mean: np.ndarray
-    l2p_var: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveReport:
     estimate: np.ndarray
     iters_run: int
@@ -137,28 +123,12 @@ class SolveReport:
     nmse_trace: np.ndarray | None = None
 
 
-def init_state(n: int, params: PriorParams) -> SolverState:
-    """Slab-variance uncertainty everywhere, before the first pseudodata."""
-    if n < 2:
-        raise ValueError("need at least two coordinates")
-    s0 = params.sigma0_sq
-    return SolverState(
-        sigma_sq=np.full(n, s0),
-        rho=np.zeros(n),
-        theta=max(s0, THETA_FLOOR),
-        r2p_mean=np.zeros(n),
-        r2p_var=np.full(n, s0),
-        l2p_mean=np.zeros(n),
-        l2p_var=np.full(n, s0),
-    )
-
-
 def channel_variance(
-    state: SolverState, r: np.ndarray, m: int, params: PriorParams, theta_mode: str
+    sigma_sq: np.ndarray, r: np.ndarray, m: int, params: PriorParams, theta_mode: str
 ) -> float:
     """The shared pseudodata channel variance theta, floored at THETA_FLOOR."""
     if theta_mode == "variance_sum":
-        theta = params.delta + float(np.sum(state.sigma_sq)) / m
+        theta = params.delta + float(np.sum(sigma_sq)) / m
     else:
         theta = float(r @ r) / m
     return max(theta, THETA_FLOOR)
@@ -174,36 +144,26 @@ def _message(mean: np.ndarray, var: np.ndarray, params: PriorParams) -> SsfMessa
     )
 
 
-def r2p_update(state: SolverState, params: PriorParams):
-    """Rightward chain messages from the current pseudodata.
+def r2p_update(
+    rho: np.ndarray, theta: float, mean: np.ndarray, var: np.ndarray, params: PriorParams
+):
+    """Rightward chain messages from pseudodata rho and the previous (mean, var).
 
     Coordinate i receives the single-message posterior of coordinate i-1,
     which fuses rho[i-1] with the previous iteration's rightward message
-    there.  The first coordinate keeps the pinned boundary message.
+    there.  The first coordinate keeps the pinned boundary message.  On
+    reversed views of rho and the leftward messages it gives the leftward
+    messages, reversed.
     """
-    msg = _message(state.r2p_mean[:-1], state.r2p_var[:-1], params)
-    mean, var = phi_zeta(state.rho[:-1], state.theta, msg)
+    mean, var = phi_zeta(rho[:-1], theta, _message(mean[:-1], var[:-1], params))
     return np.concatenate(([0.0], mean)), np.concatenate(([params.sigma0_sq], var))
 
 
-def l2p_update(state: SolverState, params: PriorParams):
-    """Leftward chain messages: r2p_update run on the reversed chain."""
-    mirrored = replace(
-        state,
-        rho=state.rho[::-1],
-        r2p_mean=state.l2p_mean[::-1],
-        r2p_var=state.l2p_var[::-1],
-    )
-    mean, var = r2p_update(mirrored, params)
-    return mean[::-1], var[::-1]
-
-
-def denoise(state: SolverState, params: PriorParams):
-    """Coordinate posterior moments and the mean denoiser derivative."""
-    r2p = _message(state.r2p_mean, state.r2p_var, params)
-    l2p = _message(state.l2p_mean, state.l2p_var, params)
-    mu, sigma_sq = eta_gamma(state.rho, state.theta, r2p, l2p)
-    mean_eta_prime = float(np.mean(sigma_sq)) / state.theta
+def denoise(rho: np.ndarray, theta: float, r2p, l2p, params: PriorParams):
+    """Coordinate posterior moments and the mean denoiser derivative, from
+    the (mean, var) message pairs r2p and l2p."""
+    mu, sigma_sq = eta_gamma(rho, theta, _message(*r2p, params), _message(*l2p, params))
+    mean_eta_prime = float(np.mean(sigma_sq)) / theta
     return mu, sigma_sq, mean_eta_prime
 
 
@@ -270,13 +230,6 @@ def default_em_params(op: LinearOperator, y: np.ndarray, delta: float = 0.0) -> 
     return PriorParams(q=0.1, sigma0_sq=max(s2, SIGMA0_SQ_MIN), delta=delta)
 
 
-def resolve_beta(config: SolverConfig, op: LinearOperator) -> float:
-    """The configured damping, or else the operator's default_beta."""
-    if config.damping_beta is not None:
-        return config.damping_beta
-    return op.default_beta
-
-
 def amp_loop(
     op: LinearOperator,
     y: np.ndarray,
@@ -337,24 +290,32 @@ def amp_loop(
 
 
 class ChainDenoiser:
-    """The chain denoiser; keeps its last ``state`` and the ``params`` the
-    next call uses, which EM (when enabled) refreshes after each call."""
+    """The chain denoiser and its state: the coordinate variances
+    ``sigma_sq``, the ``r2p`` and ``l2p`` messages as (mean, var) pairs,
+    the last channel variance ``theta`` (None before the first call), and
+    the ``params`` the next call uses, which EM (when enabled) refreshes
+    after each call.  Starts from slab-variance uncertainty everywhere."""
 
     def __init__(self, n: int, m: int, params: PriorParams, config: SolverConfig):
+        if n < 2:
+            raise ValueError("need at least two coordinates")
         self.m = m
         self.config = config
         self.params = params
-        self.state = init_state(n, params)
+        s0 = params.sigma0_sq
+        self.sigma_sq = np.full(n, s0)
+        self.r2p = (np.zeros(n), np.full(n, s0))
+        self.l2p = (np.zeros(n), np.full(n, s0))
+        self.theta = None
 
     def __call__(self, rho: np.ndarray, r: np.ndarray):
         params = self.params
-        theta = channel_variance(self.state, r, self.m, params, self.config.theta_mode)
-        st = replace(self.state, rho=rho, theta=theta)
-        r2m, r2v = r2p_update(st, params)
-        l2m, l2v = l2p_update(st, params)
-        st = replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
-        mu, sigma_sq, mean_eta_prime = denoise(st, params)
-        self.state = replace(st, sigma_sq=sigma_sq)
+        theta = channel_variance(self.sigma_sq, r, self.m, params, self.config.theta_mode)
+        self.theta = theta
+        r2p = r2p_update(rho, theta, *self.r2p, params)
+        l2m, l2v = r2p_update(rho[::-1], theta, self.l2p[0][::-1], self.l2p[1][::-1], params)
+        self.r2p, self.l2p = r2p, (l2m[::-1], l2v[::-1])
+        mu, self.sigma_sq, mean_eta_prime = denoise(rho, theta, self.r2p, self.l2p, params)
         if self.config.em_enabled:
             self.params = em_update(rho, theta, params)
         return mu, mean_eta_prime
@@ -363,24 +324,21 @@ class ChainDenoiser:
 def solve(
     op: LinearOperator,
     y: np.ndarray,
-    params: PriorParams | None,
+    params: PriorParams,
     config: SolverConfig | None = None,
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
 ) -> SolveReport:
     """Run ``amp_loop`` with the chain denoiser; final_params is the last prior.
 
-    params may be None only with EM enabled, in which case the
-    scale-derived noiseless defaults start the run.
+    EM runs start from the given params too; ``default_em_params(op, y,
+    delta)`` gives a scale-derived start.  The damping is the operator's
+    default_beta unless the config sets one.
     """
-    config = config or SolverConfig()
     if params is None:
-        if not config.em_enabled:
-            raise ValueError("params may be omitted only when EM is enabled")
-        params = default_em_params(op, y)
+        raise ValueError("params is required; default_em_params(op, y, delta) gives an EM start")
+    config = config or SolverConfig()
+    beta = op.default_beta if config.damping_beta is None else config.damping_beta
     denoiser = ChainDenoiser(op.n, op.m, params, config)
-    report = amp_loop(
-        op, y, denoiser, config.max_iters, config.tol, resolve_beta(config, op),
-        truth, target_nmse,
-    )
+    report = amp_loop(op, y, denoiser, config.max_iters, config.tol, beta, truth, target_nmse)
     return replace(report, final_params=denoiser.params)

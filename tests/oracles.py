@@ -13,8 +13,6 @@ sub-steps.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ssamp.signals import nmse
@@ -24,8 +22,6 @@ from ssamp.solver import (
     SolveReport,
     denoise,
     em_update,
-    init_state,
-    l2p_update,
     r2p_update,
 )
 from ssamp.tvamp import tv_divergence, tv_prox
@@ -337,7 +333,10 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None):
     """
     y = np.asarray(y, dtype=float)
     beta = config.damping_beta if config.damping_beta is not None else op.default_beta
-    state = init_state(op.n, params)
+    s0 = params.sigma0_sq
+    sigma_sq = np.full(op.n, s0)
+    r2p = (np.zeros(op.n), np.full(op.n, s0))
+    l2p = (np.zeros(op.n), np.full(op.n, s0))
     mu = np.zeros(op.n)
     r = y.copy()
     trace = [] if truth is not None else None
@@ -347,19 +346,18 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None):
         try:
             rho = op.adjoint(r) + mu
             if config.theta_mode == "variance_sum":
-                theta = params.delta + float(np.sum(state.sigma_sq)) / op.m
+                theta = params.delta + float(np.sum(sigma_sq)) / op.m
             else:
                 theta = float(r @ r) / op.m
-            st = replace(state, rho=rho, theta=max(theta, THETA_FLOOR))
-            r2m, r2v = r2p_update(st, params)
-            l2m, l2v = l2p_update(st, params)
-            st = replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
-            mu, sigma_sq, mean_eta_prime = denoise(st, params)
-            state = replace(st, sigma_sq=sigma_sq)
+            theta = max(theta, THETA_FLOOR)
+            r2p_new = r2p_update(rho, theta, *r2p, params)
+            l2m, l2v = r2p_update(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], params)
+            r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])
+            mu, sigma_sq, mean_eta_prime = denoise(rho, theta, r2p, l2p, params)
             candidate = y - op.apply(mu) + r * (op.n / op.m) * mean_eta_prime
             r = (1.0 - beta) * r + beta * candidate
             if config.em_enabled:
-                params = em_update(st.rho, st.theta, params)
+                params = em_update(rho, theta, params)
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceError(f"solver state diverged at iteration {it}") from exc
         if not (

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,16 +25,12 @@ from ssamp.solver import (
     DivergenceError,
     PriorParams,
     SolverConfig,
-    SolverState,
     amp_loop,
     channel_variance,
     default_em_params,
     denoise,
     em_update,
-    init_state,
-    l2p_update,
     r2p_update,
-    resolve_beta,
     solve,
     update_residual,
 )
@@ -58,20 +55,16 @@ def _easy_instance(n=200, m=100, k=10, op_seed=0, sig_seed=7, delta=0.0):
 
 
 def _random_state(n, seed, theta=0.7):
+    """Coordinate variances, pseudodata, theta and (mean, var) messages."""
     rng = np.random.default_rng(seed)
     # the first and third draws are discarded; the fields keep their values per seed
     rng.normal(size=n)
     sigma_sq = np.exp(rng.uniform(-2, 1, n))
     rng.normal(size=n)
-    return SolverState(
-        sigma_sq=sigma_sq,
-        rho=rng.normal(size=n) * 2,
-        theta=theta,
-        r2p_mean=rng.normal(size=n),
-        r2p_var=np.exp(rng.uniform(-2, 1, n)),
-        l2p_mean=rng.normal(size=n),
-        l2p_var=np.exp(rng.uniform(-2, 1, n)),
-    )
+    rho = rng.normal(size=n) * 2
+    r2p = (rng.normal(size=n), np.exp(rng.uniform(-2, 1, n)))
+    l2p = (rng.normal(size=n), np.exp(rng.uniform(-2, 1, n)))
+    return SimpleNamespace(sigma_sq=sigma_sq, rho=rho, theta=theta, r2p=r2p, l2p=l2p)
 
 
 class _Recorder:
@@ -90,12 +83,15 @@ class _Recorder:
 
 
 def test_init_state_fields():
-    st0 = init_state(4, PriorParams(q=0.1, sigma0_sq=1.0))
-    assert np.array_equal(st0.sigma_sq, np.ones(4))
-    assert np.array_equal(st0.r2p_mean, np.zeros(4))
-    assert np.array_equal(st0.r2p_var, np.ones(4))
-    assert np.array_equal(st0.l2p_mean, np.zeros(4))
-    assert np.array_equal(st0.l2p_var, np.ones(4))
+    params = PriorParams(q=0.1, sigma0_sq=1.0)
+    den = ChainDenoiser(4, 2, params, SolverConfig())
+    assert np.array_equal(den.sigma_sq, np.ones(4))
+    assert np.array_equal(den.r2p[0], np.zeros(4))
+    assert np.array_equal(den.r2p[1], np.ones(4))
+    assert np.array_equal(den.l2p[0], np.zeros(4))
+    assert np.array_equal(den.l2p[1], np.ones(4))
+    assert den.theta is None
+    assert den.params is params
     # the loop starts from mu = 0 and r = y: the first pseudodata is H^T y
     op = make_iid_gaussian(2, 4, 0)
     y = np.array([1.0, 2.0])
@@ -115,14 +111,15 @@ def test_init_state_residual_is_a_copy():
     _, r = rec.calls[0]
     y[0] = 99.0
     assert r[0] == 1.0
-    st0 = init_state(5, PriorParams(q=0.1, sigma0_sq=0.25))
-    assert np.all(st0.sigma_sq == 0.25)
+    den = ChainDenoiser(5, 3, PriorParams(q=0.1, sigma0_sq=0.25), SolverConfig())
+    assert np.all(den.sigma_sq == 0.25)
+    assert np.all(den.r2p[1] == 0.25) and np.all(den.l2p[1] == 0.25)
 
 
 def test_init_state_validation():
     p = PriorParams(q=0.1, sigma0_sq=1.0)
-    with pytest.raises(ValueError):
-        init_state(1, p)
+    with pytest.raises(ValueError, match="two coordinates"):
+        ChainDenoiser(1, 1, p, SolverConfig())
     with pytest.raises(ValueError):
         amp_loop(make_iid_gaussian(2, 4, 0), np.zeros(3), _Recorder(np.zeros(4)), 1, 0.0, 1.0)
 
@@ -152,13 +149,25 @@ def test_solver_config_validation():
 
 
 def test_resolve_beta():
-    cfg = SolverConfig()
-    assert resolve_beta(cfg, make_iid_gaussian(4, 8, 0)) == 1.0
-    assert resolve_beta(cfg, make_subsampled_dct(4, 8, 0)) == 1.0
+    assert make_iid_gaussian(4, 8, 0).default_beta == 1.0
+    assert make_subsampled_dct(4, 8, 0).default_beta == 1.0
     qt = make_quasi_toeplitz(4, 8, 8, 0)
-    assert resolve_beta(cfg, qt) == 0.5
-    assert resolve_beta(cfg, column_sign_randomize(qt, 1)) == 0.5
-    assert resolve_beta(SolverConfig(damping_beta=0.9), qt) == 0.9
+    assert qt.default_beta == 0.5
+    assert column_sign_randomize(qt, 1).default_beta == 0.5
+    # solve damps by the operator's default_beta unless the config sets one
+    n, m, k = 128, 64, 6
+    op = column_sign_randomize(make_quasi_toeplitz(m, n, n, 3), 4)
+    spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=5)
+    x, _ = generate(spec, force_k=k)
+    y = measure(op, x, 1e-6, 6)
+    params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-6)
+
+    def run(beta):
+        config = SolverConfig(max_iters=40, tol=0.0, damping_beta=beta)
+        return _outcome(lambda: solve(op, y, params, config, x))
+
+    assert run(None) == run(0.5)
+    assert run(0.9) != run(0.5)
 
 
 # ---------------------------------------------------------------- pseudodata
@@ -175,7 +184,7 @@ def test_pseudodata_matches_dense_formula():
     np.testing.assert_allclose(rho, dense.T @ r + mu, rtol=1e-12)
     st0 = _random_state(9, 2)
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
-    theta = channel_variance(st0, r, 5, params, "variance_sum")
+    theta = channel_variance(st0.sigma_sq, r, 5, params, "variance_sum")
     assert theta == pytest.approx(np.sum(st0.sigma_sq) / 5, rel=1e-14)
 
 
@@ -191,20 +200,19 @@ def test_pseudodata_zero_residual_returns_mu():
 
 
 def test_pseudodata_theta_modes():
-    st0 = dataclasses.replace(_random_state(4, 2), sigma_sq=np.zeros(4))
+    sigma_sq = np.zeros(4)
     r = np.array([3.0, 4.0])
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=1e-10)
-    theta = channel_variance(st0, r, 2, params, "variance_sum")
+    theta = channel_variance(sigma_sq, r, 2, params, "variance_sum")
     assert theta == pytest.approx(1e-10, rel=1e-12)
-    theta = channel_variance(st0, r, 2, params, "residual_norm")
+    theta = channel_variance(sigma_sq, r, 2, params, "residual_norm")
     assert theta == pytest.approx(12.5, rel=1e-14)
 
 
 def test_pseudodata_theta_floor():
-    st0 = dataclasses.replace(_random_state(4, 2), sigma_sq=np.zeros(4))
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
     for mode in ("variance_sum", "residual_norm"):
-        assert channel_variance(st0, np.zeros(2), 2, params, mode) == THETA_FLOOR
+        assert channel_variance(np.zeros(4), np.zeros(2), 2, params, mode) == THETA_FLOOR
 
 
 # ---------------------------------------------------------------- chain messages
@@ -213,15 +221,15 @@ def test_pseudodata_theta_floor():
 def test_r2p_boundary_pinned_and_shifted():
     st0 = _random_state(5, 11)
     params = PriorParams(q=0.15, sigma0_sq=0.8)
-    mean, var = r2p_update(st0, params)
+    mean, var = r2p_update(st0.rho, st0.theta, *st0.r2p, params)
     assert mean[0] == 0.0
     assert var[0] == params.sigma0_sq
     # each interior entry equals the scalar single-message posterior of
     # its left neighbor, fed by the previous iteration's message there
     for i in range(1, 5):
         msg = SsfMessage(
-            mean=st0.r2p_mean[i - 1],
-            variance=st0.r2p_var[i - 1],
+            mean=st0.r2p[0][i - 1],
+            variance=st0.r2p[1][i - 1],
             spike_weight=1.0 - params.q,
             slab_extra_variance=params.sigma0_sq,
         )
@@ -233,39 +241,42 @@ def test_r2p_boundary_pinned_and_shifted():
 def test_r2p_zero_input_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    st0 = init_state(n, params)
-    st0 = dataclasses.replace(st0, rho=np.zeros(n), theta=0.5)
-    mean, var = r2p_update(st0, params)
+    den = ChainDenoiser(n, 2, params, SolverConfig())
+    mean, var = r2p_update(np.zeros(n), 0.5, *den.r2p, params)
     np.testing.assert_array_equal(mean, np.zeros(n))
     assert np.all(var > 0)
 
 
 def test_l2p_is_mirror_of_r2p():
-    st0 = _random_state(7, 21)
+    # the chain has no preferred direction: reversed pseudodata gives the
+    # reversed estimate, with the two message directions swapped
     params = PriorParams(q=0.1, sigma0_sq=1.3)
-    mirrored = dataclasses.replace(
-        st0,
-        rho=st0.rho[::-1].copy(),
-        r2p_mean=st0.l2p_mean[::-1].copy(),
-        r2p_var=st0.l2p_var[::-1].copy(),
-    )
-    m_rev, v_rev = r2p_update(mirrored, params)
-    m_l2p, v_l2p = l2p_update(st0, params)
-    np.testing.assert_allclose(m_l2p, m_rev[::-1], rtol=1e-14)
-    np.testing.assert_allclose(v_l2p, v_rev[::-1], rtol=1e-14)
+    config = SolverConfig(theta_mode="residual_norm")
+    fwd = ChainDenoiser(7, 4, params, config)
+    rev = ChainDenoiser(7, 4, params, config)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        rho, r = rng.normal(size=7) * 2, rng.normal(size=4)
+        mu, mep = fwd(rho, r)
+        mu_rev, mep_rev = rev(rho[::-1].copy(), r)
+        np.testing.assert_allclose(mu_rev, mu[::-1], rtol=1e-14)
+        assert mep_rev == pytest.approx(mep, rel=1e-14)
+        for got, want in ((rev.l2p, fwd.r2p), (rev.r2p, fwd.l2p)):
+            np.testing.assert_allclose(got[0], want[0][::-1], rtol=1e-14)
+            np.testing.assert_allclose(got[1], want[1][::-1], rtol=1e-14)
 
 
 def test_r2p_gaussian_filtering_collapse():
     # with no spike mass the chain update is plain Gaussian fusion
     st0 = _random_state(4, 3)
     params_q0 = PriorParams(q=0.0, sigma0_sq=0.9)  # clamps to Q_MIN
-    mean, var = r2p_update(st0, params_q0)
+    mean, var = r2p_update(st0.rho, st0.theta, *st0.r2p, params_q0)
     for i in range(1, 4):
         # no jump mass: fuse (rho, theta) with the spike (prev_mean, prev_var)
         va = st0.theta
-        vb = st0.r2p_var[i - 1]
+        vb = st0.r2p[1][i - 1]
         expect_var = va * vb / (va + vb)
-        expect_mean = expect_var * (st0.rho[i - 1] / va + st0.r2p_mean[i - 1] / vb)
+        expect_mean = expect_var * (st0.rho[i - 1] / va + st0.r2p[0][i - 1] / vb)
         assert mean[i] == pytest.approx(expect_mean, rel=1e-6, abs=1e-6)
         assert var[i] == pytest.approx(expect_var, rel=1e-6)
 
@@ -276,21 +287,20 @@ def test_r2p_gaussian_filtering_collapse():
 def test_denoise_zero_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    st0 = init_state(n, params)
-    st0 = dataclasses.replace(st0, rho=np.zeros(n), theta=0.5)
-    mu, sigma_sq, mep = denoise(st0, params)
+    den = ChainDenoiser(n, 2, params, SolverConfig())
+    mu, sigma_sq, mep = denoise(np.zeros(n), 0.5, den.r2p, den.l2p, params)
     np.testing.assert_array_equal(mu, np.zeros(n))
     assert np.all(sigma_sq > 0)
-    assert mep == pytest.approx(np.mean(sigma_sq) / st0.theta, rel=1e-15)
+    assert mep == pytest.approx(np.mean(sigma_sq) / 0.5, rel=1e-15)
 
 
 def test_denoise_matches_scalar_kernel_calls():
     st0 = _random_state(6, 17)
     params = PriorParams(q=0.25, sigma0_sq=0.6)
-    mu, sigma_sq, _ = denoise(st0, params)
+    mu, sigma_sq, _ = denoise(st0.rho, st0.theta, st0.r2p, st0.l2p, params)
     for i in range(6):
-        r2p = SsfMessage(st0.r2p_mean[i], st0.r2p_var[i], 1 - params.q, params.sigma0_sq)
-        l2p = SsfMessage(st0.l2p_mean[i], st0.l2p_var[i], 1 - params.q, params.sigma0_sq)
+        r2p = SsfMessage(st0.r2p[0][i], st0.r2p[1][i], 1 - params.q, params.sigma0_sq)
+        l2p = SsfMessage(st0.l2p[0][i], st0.l2p[1][i], 1 - params.q, params.sigma0_sq)
         g, v = eta_gamma(st0.rho[i], st0.theta, r2p, l2p)
         assert mu[i] == pytest.approx(g, rel=1e-13, abs=1e-15)
         assert sigma_sq[i] == pytest.approx(v, rel=1e-13)
@@ -299,25 +309,20 @@ def test_denoise_matches_scalar_kernel_calls():
 def test_denoise_identity_for_uninformative_prior():
     st0 = _random_state(8, 9, theta=1e-6)
     big = 1e8
-    st0 = dataclasses.replace(
-        st0,
-        r2p_var=np.full(8, big),
-        l2p_var=np.full(8, big),
-    )
+    r2p = (st0.r2p[0], np.full(8, big))
+    l2p = (st0.l2p[0], np.full(8, big))
     params = PriorParams(q=0.0, sigma0_sq=big)
-    mu, _, _ = denoise(st0, params)
+    mu, _, _ = denoise(st0.rho, st0.theta, r2p, l2p, params)
     np.testing.assert_allclose(mu, st0.rho, rtol=1e-3, atol=1e-3)
 
 
 def test_denoise_mean_eta_prime_matches_finite_differences():
     st0 = _random_state(12, 23)
     params = PriorParams(q=0.2, sigma0_sq=1.1)
-    _, sigma_sq, mep = denoise(st0, params)
+    _, sigma_sq, mep = denoise(st0.rho, st0.theta, st0.r2p, st0.l2p, params)
     h = 1e-6
-    up = dataclasses.replace(st0, rho=st0.rho + h)
-    dn = dataclasses.replace(st0, rho=st0.rho - h)
-    mu_up, _, _ = denoise(up, params)
-    mu_dn, _, _ = denoise(dn, params)
+    mu_up, _, _ = denoise(st0.rho + h, st0.theta, st0.r2p, st0.l2p, params)
+    mu_dn, _, _ = denoise(st0.rho - h, st0.theta, st0.r2p, st0.l2p, params)
     fd = (mu_up - mu_dn) / (2 * h)
     assert mep == pytest.approx(float(np.mean(fd)), rel=1e-5)
 
@@ -422,7 +427,7 @@ def test_em_learns_jump_rate_from_data():
     for seed in range(6):
         op, x, y, _ = _easy_instance(n, m, k, op_seed=seed, sig_seed=100 + seed)
         rep = solve(
-            op, y, None,
+            op, y, default_em_params(op, y),
             SolverConfig(max_iters=60, em_enabled=True, theta_mode="residual_norm"),
         )
         q_true = k / (n - 1)
@@ -437,19 +442,20 @@ def test_em_learns_jump_rate_from_data():
 def test_solve_composes_sub_operations():
     op, x, y, params = _easy_instance()
     config = SolverConfig(em_enabled=True, theta_mode="variance_sum")
-    beta = resolve_beta(config, op)
-    state = init_state(op.n, params)
+    beta = op.default_beta
+    s0 = params.sigma0_sq
+    sigma_sq = np.full(op.n, s0)
+    r2p = (np.zeros(op.n), np.full(op.n, s0))
+    l2p = (np.zeros(op.n), np.full(op.n, s0))
     mu, r = np.zeros(op.n), y.copy()
     want_params = params
     for _ in range(4):
         rho = op.adjoint(r) + mu
-        theta = channel_variance(state, r, op.m, want_params, config.theta_mode)
-        st = dataclasses.replace(state, rho=rho, theta=theta)
-        r2m, r2v = r2p_update(st, want_params)
-        l2m, l2v = l2p_update(st, want_params)
-        st = dataclasses.replace(st, r2p_mean=r2m, r2p_var=r2v, l2p_mean=l2m, l2p_var=l2v)
-        mu, sigma_sq, mep = denoise(st, want_params)
-        state = dataclasses.replace(st, sigma_sq=sigma_sq)
+        theta = channel_variance(sigma_sq, r, op.m, want_params, config.theta_mode)
+        r2p_new = r2p_update(rho, theta, *r2p, want_params)
+        l2m, l2v = r2p_update(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], want_params)
+        r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])
+        mu, sigma_sq, mep = denoise(rho, theta, r2p, l2p, want_params)
         r = update_residual(op, y, mu, r, mep, beta)
         want_params = em_update(rho, theta, want_params)
 
@@ -460,9 +466,12 @@ def test_solve_composes_sub_operations():
     assert got.final_params.sigma0_sq == want_params.sigma0_sq
     denoiser = ChainDenoiser(op.n, op.m, params, config)
     amp_loop(op, y, denoiser, 4, 0.0, beta)
-    for field in ("sigma_sq", "rho", "r2p_mean", "r2p_var", "l2p_mean", "l2p_var"):
-        np.testing.assert_array_equal(getattr(denoiser.state, field), getattr(state, field))
-    assert denoiser.state.theta == state.theta
+    np.testing.assert_array_equal(denoiser.sigma_sq, sigma_sq)
+    for got, want in ((denoiser.r2p, r2p), (denoiser.l2p, l2p)):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    assert denoiser.theta == theta
+    assert denoiser.params == want_params
 
 
 def test_chain_denoiser_fixed_point_drift():
@@ -505,15 +514,14 @@ def test_variances_stay_positive():
 
         def checked(rho, r):
             out = denoiser(rho, r)
-            state = denoiser.state
-            assert np.all(state.sigma_sq > 0)
-            assert np.all(state.r2p_var > 0)
-            assert np.all(state.l2p_var > 0)
-            assert state.theta > 0
+            assert np.all(denoiser.sigma_sq > 0)
+            assert np.all(denoiser.r2p[1] > 0)
+            assert np.all(denoiser.l2p[1] > 0)
+            assert denoiser.theta > 0
             calls.append(1)
             return out
 
-        amp_loop(op, y, checked, 50, 0.0, resolve_beta(SolverConfig(), op))
+        amp_loop(op, y, checked, 50, 0.0, op.default_beta)
         assert calls
 
 
@@ -539,6 +547,8 @@ def test_solve_validates_shape_and_params():
             solve(op, y, PriorParams(q=0.1, sigma0_sq=1.0))
     with pytest.raises(ValueError):
         solve(op, np.zeros(10), None)  # EM off: params required
+    with pytest.raises(ValueError, match="default_em_params"):
+        solve(op, np.zeros(10), None, SolverConfig(em_enabled=True))  # EM on too
 
 
 def test_noiseless_recovery_small():
@@ -552,7 +562,7 @@ def test_noiseless_recovery_small():
 def test_em_recovery_small():
     op, x, y, _ = _easy_instance(n=120, m=60, k=6)
     rep = solve(
-        op, y, None,
+        op, y, default_em_params(op, y),
         SolverConfig(max_iters=200, em_enabled=True, theta_mode="residual_norm"),
         truth=x,
     )
@@ -585,21 +595,21 @@ def test_boundary_messages_track_em_slab_variance():
     cfg = SolverConfig(max_iters=40, em_enabled=True, theta_mode="residual_norm")
     params0 = default_em_params(op, y)
     denoiser = ChainDenoiser(op.n, op.m, params0, cfg)
-    used = []  # (prior a call used, state after that call)
+    used = []  # (prior a call used, messages after that call)
 
     def recorded(rho, r):
         params = denoiser.params
         out = denoiser(rho, r)
-        used.append((params, denoiser.state))
+        used.append((params, denoiser.r2p, denoiser.l2p))
         return out
 
-    amp_loop(op, y, recorded, 6, 0.0, resolve_beta(cfg, op))
+    amp_loop(op, y, recorded, 6, 0.0, op.default_beta)
     assert len(used) == 6
-    params, tracked = used[5]
+    params, r2p, l2p = used[5]
     assert params.sigma0_sq != params0.sigma0_sq
-    assert tracked.r2p_var[0] == params.sigma0_sq
-    assert tracked.l2p_var[-1] == params.sigma0_sq
-    rep = solve(op, y, None, cfg)
+    assert r2p[1][0] == params.sigma0_sq
+    assert l2p[1][-1] == params.sigma0_sq
+    rep = solve(op, y, params0, cfg)
     assert np.isfinite(rep.estimate).all()
 
 
