@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``kernels``    the spike-and-slab chain denoiser (message and coordinate posteriors)
+* ``kernels``    the spike-and-slab chain denoiser on (mean, var) message pairs
 * ``solver``     the AMP loop, and the spike-and-slab chain solver with optional EM tuning
 * ``operators``  sensing matrix ensembles behind one apply/adjoint interface
 * ``signals``    piecewise-constant test signals, measurements, NMSE
@@ -11,11 +11,10 @@ Library layout:
 * ``cli``        ``ssamp`` command line entry point
 """
 
-from .kernels import SsfMessage, eta_gamma, eta_prime, log_gauss, phi_zeta
+from .kernels import eta_gamma, log_gauss, phi_zeta
 from .operators import (
     LinearOperator,
     column_sign_randomize,
-    export_dense,
     make_iid_gaussian,
     make_quasi_toeplitz,
     make_sparse_bernoulli,

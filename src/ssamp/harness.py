@@ -10,9 +10,7 @@ ratio_key the 64-bit pattern of the float.  The mix is a SeedSequence
 spawn, so identical (config, seed_base) replays the exact same trials,
 cells keep their results when the grid is reordered or subset, and a
 single `solve` at the same operating point replays trial 0 of the
-matching grid cell.  Grid outputs are byte-identical across repeats
-(cell timing is only recorded when ``record_timing`` is set, since
-wall-clock numbers cannot be deterministic).
+matching grid cell.  Grid outputs are byte-identical across repeats.
 """
 
 from __future__ import annotations
@@ -79,7 +77,8 @@ class ExperimentConfig:
     and runtime runs read the two lists pairwise as individual cases.
     ``q`` overrides the oracle prior (default: realized k / (n-1)), and
     seeds EM when the EM solver is chosen.  ``beta`` and ``theta_mode``
-    default per solver/operator when left unset.
+    default per solver/operator when left unset.  The two fast transforms,
+    ``subsampled_dct`` and ``subsampled_wht``, need ``sign_randomize``.
     """
 
     solver: str = "ssamp_oracle"
@@ -102,7 +101,6 @@ class ExperimentConfig:
     band: int | None = None
     col_weight: int = 8
     sign_randomize: bool = False
-    record_timing: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "grid_m_over_n", tuple(self.grid_m_over_n))
@@ -111,6 +109,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.matrix not in KINDS:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
+        if self.matrix in ("subsampled_dct", "subsampled_wht") and not self.sign_randomize:
+            raise ValueError(
+                f"{self.matrix} needs sign_randomize: without column signs AMP "
+                "does not recover even easy points on it"
+            )
         if self.signal_model not in MODELS:
             raise ValueError(f"unknown signal model {self.signal_model!r}")
         if self.n < 2:
@@ -147,7 +150,6 @@ class PhaseCell:
     trials: int
     successes: int
     mean_iters: float
-    mean_seconds: float
     skipped: bool = False
 
     @property
@@ -161,7 +163,6 @@ class ConvergenceResult:
     k_over_m: float
     rows: tuple  # (iteration, nmse_db_mean, nmse_db_std)
     crossings: tuple  # per-trial first iteration at or below success_nmse (0 = never)
-    mean_iters_to_target: float  # over trials that crossed; nan when none did
 
 
 @dataclass(frozen=True)
@@ -219,11 +220,10 @@ def make_instance(
     spec = SignalSpec(
         n=config.n,
         model=config.signal_model,
-        q=min(max(k / (config.n - 1), 1e-9), 1.0 - 1e-9),
         sigma0=config.sigma0,
         seed=signal_seed,
     )
-    x, _ = generate(spec, force_k=k)
+    x = generate(spec, k)
     y = measure(op, x, config.delta, noise_seed)
     return op, x, y
 
@@ -281,7 +281,7 @@ def run_single_trial(
     return TrialResult(
         nmse=err,
         iters=iters,
-        seconds=seconds if config.record_timing else 0.0,
+        seconds=seconds,
         success=bool(err <= config.success_nmse),
     )
 
@@ -304,7 +304,7 @@ def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
             sizes = cell_sizes(config, m_over_n, k_over_m)
             if sizes is None:
                 cells.append(
-                    PhaseCell(m_over_n, k_over_m, 0, 0, 0, 0, 0.0, 0.0, skipped=True)
+                    PhaseCell(m_over_n, k_over_m, 0, 0, 0, 0, 0.0, skipped=True)
                 )
                 continue
             m, k = sizes
@@ -321,7 +321,6 @@ def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
                     trials=config.trials,
                     successes=sum(r.success for r in results),
                     mean_iters=float(np.mean([r.iters for r in results])),
-                    mean_seconds=float(np.mean([r.seconds for r in results])),
                 )
             )
     return cells
@@ -408,14 +407,12 @@ def run_convergence(config: ExperimentConfig, progress=None) -> list[Convergence
             for it in range(config.max_iters)
         )
         crossings = tuple(iters_to_target(tr, config.success_nmse) for tr in traces)
-        crossed = [c for c in crossings if c > 0]
         results.append(
             ConvergenceResult(
                 m_over_n=m_over_n,
                 k_over_m=k_over_m,
                 rows=rows,
                 crossings=crossings,
-                mean_iters_to_target=float(np.mean(crossed)) if crossed else float("nan"),
             )
         )
     return results
@@ -431,12 +428,11 @@ def run_runtime(config: ExperimentConfig, progress=None) -> list[tuple]:
     for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
         iters = []
         seconds = []
-        timed = replace(config, record_timing=True)
         for t in range(config.trials):
             if progress is not None:
                 progress(case_index, t)
             result = run_single_trial(
-                timed, m_over_n, k_over_m, m, k, t, target_nmse=config.success_nmse
+                config, m_over_n, k_over_m, m, k, t, target_nmse=config.success_nmse
             )
             iters.append(result.iters)
             seconds.append(result.seconds)
@@ -458,7 +454,6 @@ def phase_table(cells: Sequence[PhaseCell]) -> Table:
             "successes",
             "success_rate",
             "mean_iters",
-            "mean_seconds",
         ),
         rows=tuple(
             (
@@ -468,7 +463,6 @@ def phase_table(cells: Sequence[PhaseCell]) -> Table:
                 c.successes,
                 c.success_rate,
                 c.mean_iters,
-                c.mean_seconds,
             )
             for c in cells
         ),

@@ -1,29 +1,27 @@
 """The spike-and-slab chain denoiser.
 
 A coordinate seen through the channel N(x; rho, theta) is fused with one or
-two chain messages, each a spike-and-slab pair of Gaussians with a shared
-mean (see SsfMessage).  The posterior is a mixture of two or four Gaussians
-whose mean and variance drive the estimate, the message updates and the
-Onsager term.  Log weights are normalized with log-sum-exp, so |rho| up to
-1e6 and variances from 1e-12 to 1e12 never produce NaN, and variances use
-centered component means, which avoids cancellation at large means.  Inputs
-may be scalars or arrays of a common shape; outputs carry that shape.
+two chain messages.  A message is a per-coordinate (mean, var) pair; with
+the prior's jump probability q and slab variance s0, shared along the chain,
+it is the mixture (1 - q) N(x; mean, var) + q N(x; mean, var + s0).  The
+posterior is a mixture of two or four Gaussians whose mean and variance
+drive the estimate, the message updates and the Onsager term.  Log weights
+are normalized with log-sum-exp, so |rho| up to 1e6 and variances from
+1e-12 to 1e12 never produce NaN, and variances use centered component
+means, which avoids cancellation at large means.  Inputs may be scalars or
+arrays of a common shape; outputs carry that shape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
     "VARIANCE_FLOOR",
-    "SsfMessage",
     "log_gauss",
     "eta_gamma",
     "phi_zeta",
-    "eta_prime",
 ]
 
 # Fusion inputs are clamped to this floor: exact zeros show up at
@@ -33,26 +31,6 @@ VARIANCE_FLOOR = 1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 ArrayLike = float | np.ndarray
-
-
-@dataclass(frozen=True)
-class SsfMessage:
-    """Spike-and-slab chain message.
-
-    Represents the two-component mixture
-
-        spike_weight * N(x; mean, variance)
-        + (1 - spike_weight) * N(x; mean, variance + slab_extra_variance)
-
-    ``spike_weight`` is 1 - q for jump probability q; ``slab_extra_variance``
-    is the slab (jump-size) variance.  Both are shared scalars along a chain
-    while ``mean`` and ``variance`` are per-coordinate.
-    """
-
-    mean: ArrayLike
-    variance: ArrayLike
-    spike_weight: ArrayLike
-    slab_extra_variance: ArrayLike
 
 
 def _maybe_scalar(a: np.ndarray):
@@ -82,14 +60,15 @@ def log_gauss(x: ArrayLike, mean: ArrayLike, variance: ArrayLike) -> ArrayLike:
     return _maybe_scalar(out)
 
 
-def _spike_slab(msg: SsfMessage):
-    """The message's spike and slab components as (mean, variance, log weight)."""
-    mean = np.asarray(msg.mean, dtype=float)
-    var = _floor_variance(msg.variance)
-    extra = _positive(msg.slab_extra_variance, "slab_extra_variance")
-    w = np.asarray(msg.spike_weight, dtype=float)
-    if np.any(w < 0.0) or np.any(w > 1.0):
-        raise ValueError("spike_weight must lie in [0, 1]")
+def _spike_slab(msg, q, s0):
+    """The (mean, var) message's spike and slab as (mean, variance, log weight)."""
+    mean = np.asarray(msg[0], dtype=float)
+    var = _floor_variance(msg[1])
+    extra = _positive(s0, "slab variance s0")
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0.0) or np.any(q > 1.0):
+        raise ValueError("jump probability q must lie in [0, 1]")
+    w = 1.0 - q
     with np.errstate(divide="ignore"):
         return (mean, var, np.log(w)), (mean, var + extra, np.log1p(-w))
 
@@ -121,25 +100,25 @@ def _moments(components):
     return _maybe_scalar(mean), _maybe_scalar(variance)
 
 
-def phi_zeta(rho: ArrayLike, theta: ArrayLike, msg: SsfMessage):
-    """Posterior mean and variance given a single directional message."""
+def phi_zeta(rho: ArrayLike, theta: ArrayLike, msg, q: ArrayLike, s0: ArrayLike):
+    """Posterior mean and variance given a single directional (mean, var) message."""
     theta = _positive(theta, "channel variance theta")
     components = []
-    for mean, var, log_w in _spike_slab(msg):
+    for mean, var, log_w in _spike_slab(msg, q, s0):
         m, v, ev = _fuse_pair(rho, theta, mean, var)
         components.append((m, v, log_w + ev))
     return _moments(components)
 
 
-def eta_gamma(rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage):
-    """Posterior mean and variance of a coordinate given both messages.
+def eta_gamma(rho: ArrayLike, theta: ArrayLike, r2p, l2p, q: ArrayLike, s0: ArrayLike):
+    """Posterior mean and variance of a coordinate given both (mean, var) messages.
 
     Components run (r spike, l spike), (r spike, l slab), (r slab, l spike),
     (r slab, l slab); each fuses the channel with its r2p component, then
     with its l2p component, and adds both log evidences to its weight.
     """
     theta = _positive(theta, "channel variance theta")
-    right, left = _spike_slab(r2p), _spike_slab(l2p)
+    right, left = _spike_slab(r2p, q, s0), _spike_slab(l2p, q, s0)
     components = []
     for r_mean, r_var, r_log_w in right:
         m1, v1, ev1 = _fuse_pair(rho, theta, r_mean, r_var)
@@ -148,13 +127,3 @@ def eta_gamma(rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage
             components.append((m2, v2, r_log_w + l_log_w + ev1 + ev2))
     return _moments(components)
 
-
-def eta_prime(rho: ArrayLike, theta: ArrayLike, r2p: SsfMessage, l2p: SsfMessage):
-    """Derivative of the posterior mean with respect to the channel input.
-
-    For an exponential-family channel the input derivative of the posterior
-    mean equals posterior variance over channel variance, so this is
-    gamma / theta without any finite differencing.
-    """
-    _, gamma = eta_gamma(rho, theta, r2p, l2p)
-    return _maybe_scalar(np.asarray(gamma) / np.asarray(theta, dtype=float))

@@ -30,7 +30,6 @@ __all__ = [
     "make_quasi_toeplitz",
     "make_sparse_bernoulli",
     "column_sign_randomize",
-    "export_dense",
 ]
 
 KINDS = (
@@ -54,13 +53,11 @@ class LinearOperator:
 
     default_beta = 1.0  # AMP residual damping used unless one is configured
 
-    def __init__(self, m: int, n: int, kind: str, seed: int, sign_randomized: bool = False):
+    def __init__(self, m: int, n: int, kind: str):
         _check_shape(m, n)
         self.m = int(m)
         self.n = int(n)
         self.kind = kind
-        self.seed = int(seed)
-        self.sign_randomized = sign_randomized
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -74,20 +71,10 @@ class LinearOperator:
             raise ValueError(f"{name} must have shape ({length},), got {v.shape}")
         return v
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the matrix column by column through apply()."""
-        out = np.empty((self.m, self.n))
-        e = np.zeros(self.n)
-        for i in range(self.n):
-            e[i] = 1.0
-            out[:, i] = self.apply(e)
-            e[i] = 0.0
-        return out
-
 
 class _DenseOperator(LinearOperator):
-    def __init__(self, matrix, kind, seed):
-        super().__init__(matrix.shape[0], matrix.shape[1], kind, seed)
+    def __init__(self, matrix, kind):
+        super().__init__(matrix.shape[0], matrix.shape[1], kind)
         self.matrix = matrix
 
     def apply(self, x):
@@ -96,13 +83,10 @@ class _DenseOperator(LinearOperator):
     def adjoint(self, r):
         return self.matrix.T @ self._check_vec(r, self.m, "r")
 
-    def to_dense(self):
-        return self.matrix.copy()
-
 
 class _SubsampledDct(LinearOperator):
     def __init__(self, m, n, seed):
-        super().__init__(m, n, "subsampled_dct", seed)
+        super().__init__(m, n, "subsampled_dct")
         rng = np.random.default_rng(seed)
         self.rows = np.sort(rng.choice(n, size=m, replace=False))
         self.scale = np.sqrt(n / m)
@@ -136,7 +120,7 @@ class _SubsampledWht(LinearOperator):
     def __init__(self, m, n, seed):
         if n & (n - 1) != 0:
             raise ValueError("subsampled_wht needs n to be a power of two")
-        super().__init__(m, n, "subsampled_wht", seed)
+        super().__init__(m, n, "subsampled_wht")
         rng = np.random.default_rng(seed)
         self.rows = np.sort(rng.choice(n, size=m, replace=False))
         # sqrt(n/m) row scaling on top of the 1/sqrt(n) orthonormalization
@@ -166,7 +150,7 @@ class _QuasiToeplitz(LinearOperator):
     def __init__(self, m, n, band, seed):
         if not 1 <= band <= n:
             raise ValueError("band width must satisfy 1 <= b <= n")
-        super().__init__(m, n, "quasi_toeplitz", seed)
+        super().__init__(m, n, "quasi_toeplitz")
         self.band = int(band)
         rng = np.random.default_rng(seed)
         self.coeffs = rng.normal(0.0, 1.0 / np.sqrt(m), size=band)
@@ -191,7 +175,7 @@ class _SparseBernoulli(LinearOperator):
     def __init__(self, m, n, col_weight, seed):
         if not 1 <= col_weight <= m:
             raise ValueError("col_weight must satisfy 1 <= col_weight <= m")
-        super().__init__(m, n, "sparse_bernoulli", seed)
+        super().__init__(m, n, "sparse_bernoulli")
         self.col_weight = int(col_weight)
         rng = np.random.default_rng(seed)
         rows = np.empty((col_weight, n), dtype=np.int64)
@@ -210,13 +194,10 @@ class _SparseBernoulli(LinearOperator):
     def adjoint(self, r):
         return self._mat.T @ self._check_vec(r, self.m, "r")
 
-    def to_dense(self):
-        return self._mat.toarray()
-
 
 class _ColumnSign(LinearOperator):
-    def __init__(self, inner: LinearOperator, signs: np.ndarray, seed: int):
-        super().__init__(inner.m, inner.n, inner.kind, seed, sign_randomized=True)
+    def __init__(self, inner: LinearOperator, signs: np.ndarray):
+        super().__init__(inner.m, inner.n, inner.kind)
         self.inner = inner
         self.signs = signs
         self.default_beta = inner.default_beta
@@ -232,7 +213,7 @@ def make_iid_gaussian(m: int, n: int, seed: int) -> LinearOperator:
     _check_shape(m, n)
     rng = np.random.default_rng(seed)
     matrix = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
-    return _DenseOperator(matrix, "iid_gaussian", seed)
+    return _DenseOperator(matrix, "iid_gaussian")
 
 
 def make_subsampled_dct(m: int, n: int, seed: int) -> LinearOperator:
@@ -259,13 +240,5 @@ def column_sign_randomize(op: LinearOperator, seed: int) -> LinearOperator:
     """
     rng = np.random.default_rng(seed)
     signs = (rng.integers(0, 2, size=op.n) * 2 - 1).astype(float)
-    return _ColumnSign(op, signs, seed)
+    return _ColumnSign(op, signs)
 
-
-def export_dense(op: LinearOperator, path) -> None:
-    """Write the materialized matrix as text, one row per line."""
-    dense = op.to_dense()
-    with open(path, "w") as fh:
-        for row in dense:
-            fh.write(" ".join(format(v, ".17g") for v in row))
-            fh.write("\n")

@@ -1,9 +1,10 @@
 """Piecewise-constant test signals and measurement synthesis.
 
-Signals are built on the first-difference domain: each of the n-1
-differences is zero with probability 1-q and otherwise a jump drawn from
-the slab distribution of the chosen model.  The first sample is anchored
-at zero and the signal is the cumulative sum of the differences.
+Signals are built on the first-difference domain: k of the n-1
+differences, at positions chosen uniformly without replacement, are jumps
+drawn from the slab distribution of the chosen model, and the rest are
+zero.  The first sample is anchored at zero and the signal is the
+cumulative sum of the differences.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .operators import LinearOperator
 
-__all__ = ["SignalSpec", "generate", "measure", "nmse", "save_signal", "load_signal"]
+__all__ = ["SignalSpec", "generate", "measure", "nmse", "save_signal"]
 
 MODELS = ("gaussian_pwc", "bernoulli_pwc")
 
@@ -24,13 +25,12 @@ class SignalSpec:
     """Sampling description for one synthetic signal.
 
     ``model`` selects the jump-size law: "gaussian_pwc" draws N(0, sigma0^2),
-    "bernoulli_pwc" draws +-sigma0 with equal probability.  ``q`` is the
-    per-difference jump probability; ``sigma0`` the jump scale.
+    "bernoulli_pwc" draws +-sigma0 with equal probability; ``sigma0`` is
+    the jump scale.
     """
 
     n: int
     model: str
-    q: float
     sigma0: float
     seed: int
 
@@ -39,8 +39,6 @@ class SignalSpec:
             raise ValueError("signal length must be at least 2")
         if self.model not in MODELS:
             raise ValueError(f"unknown signal model {self.model!r}")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("jump probability q must lie in (0, 1)")
         if not self.sigma0 > 0.0:
             raise ValueError("sigma0 must be positive")
 
@@ -51,27 +49,20 @@ def _draw_jumps(rng, model, sigma0, count):
     return sigma0 * (rng.integers(0, 2, size=count) * 2 - 1).astype(float)
 
 
-def generate(spec: SignalSpec, force_k: int | None = None):
-    """Draw one signal; returns (x, k) with k the realized jump count.
+def generate(spec: SignalSpec, k: int) -> np.ndarray:
+    """Draw one signal with exactly k jumps.
 
-    With ``force_k`` the jump count is made exact: k difference positions
-    are chosen uniformly without replacement and only those receive slab
-    draws.  Used by phase grids whose axes require a fixed k.
+    k difference positions are chosen uniformly without replacement and
+    only those receive slab draws.
     """
-    rng = np.random.default_rng(spec.seed)
     d = spec.n - 1
+    if not 0 <= k <= d:
+        raise ValueError("jump count k must lie in [0, n-1]")
+    rng = np.random.default_rng(spec.seed)
     u = np.zeros(d)
-    if force_k is None:
-        active = rng.random(d) < spec.q
-        u[active] = _draw_jumps(rng, spec.model, spec.sigma0, int(active.sum()))
-    else:
-        if not 0 <= force_k <= d:
-            raise ValueError("force_k must lie in [0, n-1]")
-        pos = rng.choice(d, size=force_k, replace=False)
-        u[pos] = _draw_jumps(rng, spec.model, spec.sigma0, force_k)
-    x = np.concatenate([[0.0], np.cumsum(u)])
-    k = int(np.count_nonzero(u))
-    return x, k
+    pos = rng.choice(d, size=k, replace=False)
+    u[pos] = _draw_jumps(rng, spec.model, spec.sigma0, k)
+    return np.concatenate([[0.0], np.cumsum(u)])
 
 
 def measure(op: LinearOperator, x: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -104,7 +95,3 @@ def save_signal(path, x: np.ndarray) -> None:
         for v in np.asarray(x, dtype=float):
             fh.write(format(v, ".17g"))
             fh.write("\n")
-
-
-def load_signal(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=float, ndmin=1)

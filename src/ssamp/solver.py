@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.special
 
-from .kernels import SsfMessage, eta_gamma, log_gauss, phi_zeta
+from .kernels import eta_gamma, log_gauss, phi_zeta
 from .operators import LinearOperator
 from .signals import nmse as _nmse
 
@@ -134,16 +134,6 @@ def channel_variance(
     return max(theta, THETA_FLOOR)
 
 
-def _message(mean: np.ndarray, var: np.ndarray, params: PriorParams) -> SsfMessage:
-    """Chain message with per-coordinate (mean, var) and the prior's jump weights."""
-    return SsfMessage(
-        mean=mean,
-        variance=var,
-        spike_weight=1.0 - params.q,
-        slab_extra_variance=params.sigma0_sq,
-    )
-
-
 def r2p_update(
     rho: np.ndarray, theta: float, mean: np.ndarray, var: np.ndarray, params: PriorParams
 ):
@@ -155,14 +145,14 @@ def r2p_update(
     reversed views of rho and the leftward messages it gives the leftward
     messages, reversed.
     """
-    mean, var = phi_zeta(rho[:-1], theta, _message(mean[:-1], var[:-1], params))
+    mean, var = phi_zeta(rho[:-1], theta, (mean[:-1], var[:-1]), params.q, params.sigma0_sq)
     return np.concatenate(([0.0], mean)), np.concatenate(([params.sigma0_sq], var))
 
 
 def denoise(rho: np.ndarray, theta: float, r2p, l2p, params: PriorParams):
     """Coordinate posterior moments and the mean denoiser derivative, from
     the (mean, var) message pairs r2p and l2p."""
-    mu, sigma_sq = eta_gamma(rho, theta, _message(*r2p, params), _message(*l2p, params))
+    mu, sigma_sq = eta_gamma(rho, theta, r2p, l2p, params.q, params.sigma0_sq)
     mean_eta_prime = float(np.mean(sigma_sq)) / theta
     return mu, sigma_sq, mean_eta_prime
 

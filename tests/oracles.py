@@ -3,8 +3,9 @@
 Nothing here calls back into the package's fusion or prox code paths:
 posterior moments come from direct quadrature of the unnormalized density,
 derivatives from central differences, EM quantities from extended-precision
-arithmetic, and the TV prox from an iterative dual solver.  The
-exceptions are frozen copies kept to check rewrites byte for byte:
+arithmetic, and the TV prox from an iterative dual solver.  Dense matrices
+are read off an operator's ``apply`` one column at a time.  The exceptions
+are frozen copies kept to check rewrites byte for byte:
 ``tv_prox_sweep_reference``, the taut-string sweep indexing numpy arrays,
 and ``solve_reference``/``tvamp_solve_reference``, the two solvers' own
 AMP loops from before they shared one, built from the package's public
@@ -25,6 +26,21 @@ from ssamp.solver import (
     r2p_update,
 )
 from ssamp.tvamp import tv_divergence, tv_prox
+
+# ---------------------------------------------------------------------------
+# dense reference matrix of an operator
+
+
+def dense_matrix(op):
+    """The m x n matrix of ``op``, built column by column through ``apply``."""
+    out = np.empty((op.m, op.n))
+    e = np.zeros(op.n)
+    for i in range(op.n):
+        e[i] = 1.0
+        out[:, i] = op.apply(e)
+        e[i] = 0.0
+    return out
+
 
 # ---------------------------------------------------------------------------
 # quadrature oracle for the mixture-channel posteriors

@@ -21,7 +21,7 @@ from oracles import (
 )
 from ssamp.cli import main
 from ssamp.harness import ExperimentConfig, pt_curve, run_phase_grid, run_single_trial
-from ssamp.kernels import SsfMessage, eta_gamma, eta_prime, phi_zeta
+from ssamp.kernels import eta_gamma, phi_zeta
 from ssamp.solver import PriorParams, em_posteriors, em_update
 from ssamp.tvamp import tv_prox
 
@@ -31,13 +31,17 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _draw_message(rng):
-    return (
-        rng.uniform(-3, 3),
-        float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))),
-        rng.uniform(0.05, 0.999),
-        float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))),
-    )
+def _draw_case(rng):
+    """rho, theta, two (mean, var) messages, and the (q, s0) both share."""
+    rho = rng.uniform(-4, 4)
+    theta = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
+    msgs = [
+        (rng.uniform(-3, 3), float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))))
+        for _ in range(2)
+    ]
+    q = rng.uniform(0.001, 0.95)
+    s0 = float(np.exp(rng.uniform(np.log(0.1), np.log(5.0))))
+    return rho, theta, msgs, q, s0
 
 
 def _recovery_cell(**overrides):
@@ -59,23 +63,23 @@ def test_01_denoiser_matches_quadrature_oracle():
     worst = 0.0
     checked = 0
     for _ in range(10_000):
-        rho = rng.uniform(-4, 4)
-        theta = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
-        msgs = [_draw_message(rng), _draw_message(rng)]
+        rho, theta, msgs, q, s0 = _draw_case(rng)
+        # the oracle takes each message as (mean, var, spike weight, slab variance)
+        oracle_msgs = [(mean, var, 1.0 - q, s0) for mean, var in msgs]
         pairs = [
             (
-                eta_gamma(rho, theta, SsfMessage(*msgs[0]), SsfMessage(*msgs[1])),
-                quad_posterior_moments(rho, theta, msgs),
+                eta_gamma(rho, theta, msgs[0], msgs[1], q, s0),
+                quad_posterior_moments(rho, theta, oracle_msgs),
             ),
             (
-                phi_zeta(rho, theta, SsfMessage(*msgs[0])),
-                quad_posterior_moments(rho, theta, msgs[:1]),
+                phi_zeta(rho, theta, msgs[0], q, s0),
+                quad_posterior_moments(rho, theta, oracle_msgs[:1]),
             ),
         ]
         for (mean, var), (qmean, qvar) in pairs:
             for got, want in ((mean, qmean), (var, qvar)):
                 err = abs(got - want)
-                assert err <= max(1e-8 * abs(want), 1e-10), (rho, theta, msgs)
+                assert err <= max(1e-8 * abs(want), 1e-10), (rho, theta, msgs, q, s0)
                 if abs(want) > 1e-6:
                     worst = max(worst, err / abs(want))
                 checked += 1
@@ -93,14 +97,11 @@ def test_02_posterior_mean_derivative_identity():
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(1_000):
-        rho = rng.uniform(-4, 4)
-        theta = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
-        r2p = SsfMessage(*_draw_message(rng))
-        l2p = SsfMessage(*_draw_message(rng))
-        analytic = eta_prime(rho, theta, r2p, l2p)
+        rho, theta, (r2p, l2p), q, s0 = _draw_case(rng)
+        analytic = eta_gamma(rho, theta, r2p, l2p, q, s0)[1] / theta
 
         def mean_of(t):
-            return eta_gamma(t, theta, r2p, l2p)[0]
+            return eta_gamma(t, theta, r2p, l2p, q, s0)[0]
 
         step = 1e-4 * max(1.0, abs(rho))
         coarse = central_difference(mean_of, rho, step)
@@ -108,7 +109,7 @@ def test_02_posterior_mean_derivative_identity():
         fd = (4.0 * fine - coarse) / 3.0
         rel = abs(analytic - fd) / abs(fd)
         worst = max(worst, rel)
-        assert rel <= 1e-6, (rho, theta, r2p, l2p)
+        assert rel <= 1e-6, (rho, theta, r2p, l2p, q, s0)
     _report(2, True, f"variance/theta derivative identity, worst rel {worst:.1e}")
 
 

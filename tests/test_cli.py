@@ -1,11 +1,15 @@
 import csv
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from ssamp.cli import main
-from ssamp.signals import load_signal
+from ssamp.harness import ExperimentConfig
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write_config(tmp_path, **fields):
@@ -30,7 +34,7 @@ def test_solve_writes_json_payload(tmp_path):
 def test_solve_csv_writes_loadable_signal(tmp_path):
     out = tmp_path / "estimate.csv"
     assert main(["solve", "--n", "64", "--out", str(out)]) == 0
-    x = load_signal(out)
+    x = np.loadtxt(out)
     assert x.shape == (64,)
 
 
@@ -89,10 +93,9 @@ def test_pt_writes_grid_and_curve(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "m_over_n", "k_over_m", "trials", "successes",
-        "success_rate", "mean_iters", "mean_seconds",
+        "success_rate", "mean_iters",
     ]
     assert len(rows) == 3
-    assert all(r[6] == "0" for r in rows[1:])  # timing off: exact zeros
     with open(curve_out, newline="") as fh:
         crows = list(csv.reader(fh))
     assert crows[0] == ["m_over_n", "k_over_m_at_half_success"]
@@ -182,3 +185,16 @@ def test_progress_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "solve:" in captured.err
     assert captured.out == ""
+
+
+def test_readme_configs_are_valid():
+    # every README config, and its signed variant on each fast transform
+    # (how pt_grid_signs.json and the runtime ladder's transforms are run)
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 4
+    for block in blocks:
+        data = json.loads(block)
+        ExperimentConfig.from_dict(data)
+        for kind, n in (("subsampled_dct", data.get("n", 256)), ("subsampled_wht", 512)):
+            signed = dict(data, sign_randomize=True, matrix=kind, n=n)
+            assert ExperimentConfig.from_dict(signed).matrix == kind

@@ -42,7 +42,6 @@ def _cell(m_over_n, k_over_m, successes, trials=10, skipped=False):
         trials=0 if skipped else trials,
         successes=successes,
         mean_iters=0.0,
-        mean_seconds=0.0,
         skipped=skipped,
     )
 
@@ -88,6 +87,14 @@ def test_config_validation():
         ExperimentConfig(grid_k_over_m=(1.2,))
 
 
+def test_config_rejects_unsigned_fast_transforms():
+    # without column signs AMP fails every trial on these; say so up front
+    for kind in ("subsampled_dct", "subsampled_wht"):
+        with pytest.raises(ValueError, match="needs sign_randomize"):
+            ExperimentConfig(matrix=kind, n=64)
+        assert ExperimentConfig(matrix=kind, n=64, sign_randomize=True).sign_randomize
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"n": 64, "bogus": 1})
@@ -108,8 +115,8 @@ def test_config_lists_become_tuples():
 def test_build_operator_dispatch():
     kinds = {
         "iid_gaussian": {},
-        "subsampled_dct": {},
-        "subsampled_wht": {},
+        "subsampled_dct": {"sign_randomize": True},
+        "subsampled_wht": {"sign_randomize": True},
         "quasi_toeplitz": {},
         "sparse_bernoulli": {"col_weight": 4},
     }
@@ -119,10 +126,11 @@ def test_build_operator_dispatch():
         op = build_operator(cfg, 32, 7, 8)
         assert op.kind == kind
         assert (op.m, op.n) == (32, n)
-        assert not op.sign_randomized
-    cfg = ExperimentConfig(matrix="subsampled_dct", n=64, sign_randomize=True)
+        # signs wrap the operator; without them build_operator returns it bare
+        assert hasattr(op, "signs") == cfg.sign_randomize
+    cfg = ExperimentConfig(matrix="iid_gaussian", n=64, sign_randomize=True)
     op = build_operator(cfg, 32, 7, 8)
-    assert op.kind == "subsampled_dct" and op.sign_randomized
+    assert op.kind == "iid_gaussian" and hasattr(op, "signs")
 
 
 def test_build_operator_band_default_and_override():
@@ -141,7 +149,7 @@ def test_single_trial_easy_cell_succeeds():
     assert r.success
     assert r.nmse <= cfg.success_nmse
     assert 0 < r.iters <= 300
-    assert r.seconds == 0.0  # timing off by default
+    assert r.seconds > 0.0  # the solve's wall-clock seconds
 
 
 def test_single_trial_hopeless_cell_fails():
@@ -308,19 +316,17 @@ def test_convergence_trace_shape_and_determinism():
     assert res.rows[0][0] == 1 and res.rows[-1][0] == 60
     assert len(res.crossings) == 2
     assert all(c > 0 for c in res.crossings)
-    assert res.mean_iters_to_target == pytest.approx(np.mean(res.crossings))
     again = run_convergence(cfg)[0]
     assert again == res
 
 
-def test_convergence_nan_when_never_crossing():
+def test_convergence_zero_crossing_when_never_reached():
     cfg = ExperimentConfig(
         n=200, grid_m_over_n=(0.5,), grid_k_over_m=(0.1,), trials=1,
         max_iters=3, success_nmse=1e-300,
     )
     res = run_convergence(cfg)[0]
     assert res.crossings == (0,)
-    assert np.isnan(res.mean_iters_to_target)
 
 
 def test_convergence_requires_paired_grids():
@@ -388,14 +394,14 @@ def test_phase_table_columns_and_rows():
     table = phase_table(cells)
     assert table.columns == (
         "m_over_n", "k_over_m", "trials", "successes",
-        "success_rate", "mean_iters", "mean_seconds",
+        "success_rate", "mean_iters",
     )
-    assert table.rows[0][:5] == (0.5, 0.1, 10, 7, 0.7)
+    assert table.rows[0] == (0.5, 0.1, 10, 7, 0.7, 0.0)
 
 
 def test_other_table_columns():
     assert curve_table([]).columns == ("m_over_n", "k_over_m_at_half_success")
-    res = ConvergenceResult(0.5, 0.1, ((1, -3.0, 0.1),), (1,), 1.0)
+    res = ConvergenceResult(0.5, 0.1, ((1, -3.0, 0.1),), (1,))
     assert convergence_table(res).columns == ("iter", "nmse_db_mean", "nmse_db_std")
     assert runtime_table([]).columns == (
         "m_over_n", "k_over_m", "n", "trials",
@@ -404,13 +410,8 @@ def test_other_table_columns():
 
 
 def test_emit_csv_round_trip_exact(tmp_path):
-    rows = ((1 / 3, 0.1, 20, 17, 0.85, 33.25, 0.0), (0.30000000000000004, 0.9, 20, 0, 0.0, 2000.0, 0.0))
-    table = phase_table(
-        [
-            PhaseCell(r[0], r[1], 1, 1, r[2], r[3], r[5], r[6])
-            for r in rows
-        ]
-    )
+    rows = ((1 / 3, 0.1, 20, 17, 0.85, 33.25), (0.30000000000000004, 0.9, 20, 0, 0.0, 2000.0))
+    table = phase_table([PhaseCell(r[0], r[1], 1, 1, r[2], r[3], r[5]) for r in rows])
     path = tmp_path / "t.csv"
     emit(table, "csv", path)
     with open(path, newline="") as fh:
@@ -422,6 +423,7 @@ def test_emit_csv_round_trip_exact(tmp_path):
         assert int(got[2]) == want[2]
         assert int(got[3]) == want[3]
         assert float(got[4]) == want[4]
+        assert float(got[5]) == want[5]
 
 
 def test_emit_empty_table_is_header_only(tmp_path):
@@ -437,7 +439,7 @@ def test_emit_json_mirrors_csv_fields(tmp_path):
     payload = json.loads(path.read_text())
     assert payload[0] == {
         "m_over_n": 0.5, "k_over_m": 0.1, "trials": 10, "successes": 7,
-        "success_rate": 0.7, "mean_iters": 0.0, "mean_seconds": 0.0,
+        "success_rate": 0.7, "mean_iters": 0.0,
     }
 
 

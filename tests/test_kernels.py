@@ -5,14 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import central_difference, quad_posterior_moments
-from ssamp.kernels import VARIANCE_FLOOR, SsfMessage, eta_gamma, eta_prime, log_gauss, phi_zeta
+from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, log_gauss, phi_zeta
+from ssamp.solver import PriorParams, denoise
 
-# frozen quadrature values for the named cases (tests/oracles.py, rel_tol 1e-11)
-SINGLE_CASE = (1.0, 0.5, (0.0, 0.2, 0.9, 1.0))
+# frozen quadrature values for the named cases (tests/oracles.py, rel_tol 1e-11);
+# a case is (rho, theta, message(s) as (mean, var), q, s0)
+SINGLE_CASE = (1.0, 0.5, (0.0, 0.2), 0.1, 1.0)
 SINGLE_MEAN = 0.32685136386136865
 SINGLE_VAR = 0.17901790934862649
 
-DOUBLE_CASE = (0.7, 0.3, (0.5, 0.1, 0.95, 1.0), (-0.2, 0.4, 0.95, 1.0))
+DOUBLE_CASE = (0.7, 0.3, (0.5, 0.1), (-0.2, 0.4), 0.05, 1.0)
 DOUBLE_MEAN = 0.43283515877119499
 DOUBLE_VAR = 0.066160210812772832
 
@@ -39,9 +41,9 @@ def test_log_gauss_rejects_nonpositive_variance():
 
 
 def _pair(ma, va, mb, vb):
-    """Plain two-Gaussian fusion through phi_zeta: spike weight 1 leaves the
-    channel N(x; ma, va) fused with the message spike N(x; mb, vb) alone."""
-    return phi_zeta(ma, va, SsfMessage(mb, vb, 1.0, 1.0))
+    """Plain two-Gaussian fusion through phi_zeta: jump probability 0 leaves
+    the channel N(x; ma, va) fused with the message spike N(x; mb, vb) alone."""
+    return phi_zeta(ma, va, (mb, vb), 0.0, 1.0)
 
 
 def test_fuse_pair_known_case():
@@ -76,119 +78,117 @@ def test_fuse_pair_rejects_negative_variance():
     with pytest.raises(ValueError):
         _pair(0.0, 1.0, 0.0, -1e-3)
     with pytest.raises(ValueError):
-        eta_gamma(0.0, 1.0, SsfMessage(0.0, 1.0, 0.9, 1.0), SsfMessage(0.0, -1e-3, 0.9, 1.0))
+        eta_gamma(0.0, 1.0, (0.0, 1.0), (0.0, -1e-3), 0.1, 1.0)
+
+
+def test_posterior_rejects_bad_prior():
+    # q outside [0, 1] and a nonpositive slab variance, in both kernels
+    for q, s0 in ((-0.1, 1.0), (1.5, 1.0), (0.1, 0.0), (0.1, -2.0)):
+        with pytest.raises(ValueError):
+            phi_zeta(0.0, 1.0, (0.0, 1.0), q, s0)
+        with pytest.raises(ValueError):
+            eta_gamma(0.0, 1.0, (0.0, 1.0), (0.0, 1.0), q, s0)
 
 
 def test_posterior_single_weights_normalized():
     # channel and message agree on the mean, so every component has that
     # mean and the posterior mean is it times the total weight
     c = 0.8
-    _, theta, (_, var, w, extra) = SINGLE_CASE
-    mean, _ = phi_zeta(c, theta, SsfMessage(c, var, w, extra))
+    _, theta, (_, var), q, s0 = SINGLE_CASE
+    mean, _ = phi_zeta(c, theta, (c, var), q, s0)
     assert abs(mean / c - 1.0) <= 1e-12
 
 
 def test_posterior_single_matches_quadrature():
-    mean, var = phi_zeta(*SINGLE_CASE[:2], SsfMessage(*SINGLE_CASE[2]))
+    mean, var = phi_zeta(*SINGLE_CASE)
     assert mean == pytest.approx(SINGLE_MEAN, rel=1e-10)
     assert var == pytest.approx(SINGLE_VAR, rel=1e-10)
 
 
 def test_posterior_single_collapses_at_full_spike_weight():
-    # spike_weight 1 leaves a single live component: plain Gaussian fusion
-    mean, var = phi_zeta(1.1, 0.4, SsfMessage(0.3, 0.7, 1.0, 2.0))
+    # q = 0 puts all weight on the spike: plain Gaussian fusion
+    mean, var = phi_zeta(1.1, 0.4, (0.3, 0.7), 0.0, 2.0)
     fused_var = 1.0 / (1.0 / 0.4 + 1.0 / 0.7)
     assert mean == pytest.approx(fused_var * (1.1 / 0.4 + 0.3 / 0.7), rel=1e-15)
     assert var == pytest.approx(fused_var, rel=1e-15)
 
 
 def test_posterior_rejects_nonpositive_theta():
-    msg = SsfMessage(0.0, 1.0, 0.9, 1.0)
+    msg = (0.0, 1.0)
     with pytest.raises(ValueError):
-        phi_zeta(0.0, 0.0, msg)
+        phi_zeta(0.0, 0.0, msg, 0.1, 1.0)
     with pytest.raises(ValueError):
-        eta_gamma(0.0, -1.0, msg, msg)
+        eta_gamma(0.0, -1.0, msg, msg, 0.1, 1.0)
 
 
 def test_posterior_double_weights_normalized():
     # as in the single case: a common mean c makes the posterior mean
     # c times the total weight of the four components
     c = -0.6
-    _, theta, (_, r_var, r_w, r_extra), (_, l_var, l_w, l_extra) = DOUBLE_CASE
-    mean, _ = eta_gamma(
-        c, theta, SsfMessage(c, r_var, r_w, r_extra), SsfMessage(c, l_var, l_w, l_extra)
-    )
+    _, theta, (_, r_var), (_, l_var), q, s0 = DOUBLE_CASE
+    mean, _ = eta_gamma(c, theta, (c, r_var), (c, l_var), q, s0)
     assert abs(mean / c - 1.0) <= 1e-12
 
 
 def test_posterior_double_matches_quadrature():
-    mean, var = eta_gamma(
-        DOUBLE_CASE[0], DOUBLE_CASE[1], SsfMessage(*DOUBLE_CASE[2]), SsfMessage(*DOUBLE_CASE[3])
-    )
+    mean, var = eta_gamma(*DOUBLE_CASE)
     assert mean == pytest.approx(DOUBLE_MEAN, rel=1e-10)
     assert var == pytest.approx(DOUBLE_VAR, rel=1e-10)
 
 
 def test_posterior_double_fusion_order_invariant():
     # swapping the two messages must not change the posterior moments
-    r2p = SsfMessage(*DOUBLE_CASE[2])
-    l2p = SsfMessage(*DOUBLE_CASE[3])
-    m1, v1 = eta_gamma(DOUBLE_CASE[0], DOUBLE_CASE[1], r2p, l2p)
-    m2, v2 = eta_gamma(DOUBLE_CASE[0], DOUBLE_CASE[1], l2p, r2p)
+    rho, theta, r2p, l2p, q, s0 = DOUBLE_CASE
+    m1, v1 = eta_gamma(rho, theta, r2p, l2p, q, s0)
+    m2, v2 = eta_gamma(rho, theta, l2p, r2p, q, s0)
     assert m1 == pytest.approx(m2, rel=1e-13)
     assert v1 == pytest.approx(v2, rel=1e-13)
 
 
 def test_eta_reduces_to_linear_mmse_without_slabs():
-    # spike_weight 1 in both messages: three-Gaussian fusion, affine in rho
-    r2p = SsfMessage(0.4, 0.3, 1.0, 1.0)
-    l2p = SsfMessage(-0.6, 0.8, 1.0, 1.0)
+    # q = 0 in both messages: three-Gaussian fusion, affine in rho
+    r2p = (0.4, 0.3)
+    l2p = (-0.6, 0.8)
     theta = 0.5
     prec = 1.0 / theta + 1.0 / 0.3 + 1.0 / 0.8
     for rho in (-2.0, 0.0, 0.7, 3.5):
-        mean, var = eta_gamma(rho, theta, r2p, l2p)
+        mean, var = eta_gamma(rho, theta, r2p, l2p, 0.0, 1.0)
         expect_mean = (rho / theta + 0.4 / 0.3 + -0.6 / 0.8) / prec
         assert mean == pytest.approx(expect_mean, rel=1e-14)
         assert var == pytest.approx(1.0 / prec, rel=1e-14)
 
 
 def test_eta_monotone_in_rho():
-    r2p = SsfMessage(0.2, 0.4, 0.9, 1.5)
-    l2p = SsfMessage(-0.1, 0.7, 0.9, 1.5)
+    r2p = (0.2, 0.4)
+    l2p = (-0.1, 0.7)
     rho = np.linspace(-8.0, 8.0, 400)
-    mean, _ = eta_gamma(rho, 0.6, r2p, l2p)
+    mean, _ = eta_gamma(rho, 0.6, r2p, l2p, 0.1, 1.5)
     assert np.all(np.diff(mean) > 0)
 
 
 def test_eta_prime_equals_gamma_over_theta():
-    r2p = SsfMessage(*DOUBLE_CASE[2])
-    l2p = SsfMessage(*DOUBLE_CASE[3])
-    _, gamma = eta_gamma(DOUBLE_CASE[0], DOUBLE_CASE[1], r2p, l2p)
-    assert eta_prime(DOUBLE_CASE[0], DOUBLE_CASE[1], r2p, l2p) == pytest.approx(
-        gamma / DOUBLE_CASE[1], rel=1e-15
-    )
+    # the solver's Onsager term is the mean of eta' = gamma / theta
+    rng = np.random.default_rng(5)
+    rho, theta = rng.normal(size=12), 0.3
+    r2p = (rng.normal(size=12), np.exp(rng.normal(size=12)))
+    l2p = (rng.normal(size=12), np.exp(rng.normal(size=12)))
+    _, gamma = eta_gamma(rho, theta, r2p, l2p, 0.05, 1.0)
+    _, _, mean_eta_prime = denoise(rho, theta, r2p, l2p, PriorParams(q=0.05, sigma0_sq=1.0))
+    assert mean_eta_prime == pytest.approx(np.mean(gamma / theta), rel=1e-15)
 
 
 def test_eta_prime_matches_finite_differences():
     rng = np.random.default_rng(11)
     for _ in range(50):
         theta = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
-        r2p = SsfMessage(
-            rng.uniform(-3, 3),
-            float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))),
-            rng.uniform(0.05, 0.995),
-            float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))),
-        )
-        l2p = SsfMessage(
-            rng.uniform(-3, 3),
-            float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))),
-            rng.uniform(0.05, 0.995),
-            float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))),
-        )
+        r2p = (rng.uniform(-3, 3), float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))))
+        l2p = (rng.uniform(-3, 3), float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))))
+        q = rng.uniform(0.005, 0.95)
+        s0 = float(np.exp(rng.uniform(np.log(0.1), np.log(5.0))))
         rho = rng.uniform(-4, 4)
-        analytic = eta_prime(rho, theta, r2p, l2p)
+        analytic = eta_gamma(rho, theta, r2p, l2p, q, s0)[1] / theta
         fd = central_difference(
-            lambda r: eta_gamma(r, theta, r2p, l2p)[0], rho, 1e-5
+            lambda r: eta_gamma(r, theta, r2p, l2p, q, s0)[0], rho, 1e-5
         )
         if abs(analytic) > 1e-8:
             assert fd == pytest.approx(analytic, rel=1e-6)
@@ -201,15 +201,10 @@ def test_vector_call_equals_per_index_scalars():
     theta = 0.37
     r_mean, l_mean = rng.normal(size=(2, n))
     r_var, l_var = np.exp(rng.uniform(-2, 1, size=(2, n)))
-    r2p = SsfMessage(r_mean, r_var, 0.92, 1.3)
-    l2p = SsfMessage(l_mean, l_var, 0.92, 1.3)
-    mean_vec, var_vec = eta_gamma(rho, theta, r2p, l2p)
+    mean_vec, var_vec = eta_gamma(rho, theta, (r_mean, r_var), (l_mean, l_var), 0.08, 1.3)
     for i in range(n):
         m_i, v_i = eta_gamma(
-            rho[i],
-            theta,
-            SsfMessage(r_mean[i], r_var[i], 0.92, 1.3),
-            SsfMessage(l_mean[i], l_var[i], 0.92, 1.3),
+            rho[i], theta, (r_mean[i], r_var[i]), (l_mean[i], l_var[i]), 0.08, 1.3
         )
         assert mean_vec[i] == m_i
         assert var_vec[i] == v_i
@@ -220,14 +215,14 @@ def test_vector_call_equals_per_index_scalars():
     theta=st.floats(1e-12, 1e12),
     mean=st.floats(-1e6, 1e6),
     var=st.floats(1e-12, 1e12),
-    spike=st.floats(0.0, 1.0),
-    extra=st.floats(1e-12, 1e12),
+    q=st.floats(0.0, 1.0),
+    s0=st.floats(1e-12, 1e12),
 )
 @settings(max_examples=300)
-def test_posteriors_finite_over_extreme_inputs(rho, theta, mean, var, spike, extra):
-    msg = SsfMessage(mean, var, spike, extra)
-    mean1, var1 = phi_zeta(rho, theta, msg)
-    mean2, var2 = eta_gamma(rho, theta, msg, msg)
+def test_posteriors_finite_over_extreme_inputs(rho, theta, mean, var, q, s0):
+    msg = (mean, var)
+    mean1, var1 = phi_zeta(rho, theta, msg, q, s0)
+    mean2, var2 = eta_gamma(rho, theta, msg, msg, q, s0)
     assert np.isfinite(mean1) and np.isfinite(var1)
     assert np.isfinite(mean2) and np.isfinite(var2)
     assert var1 >= 0.0 and var2 >= 0.0
@@ -240,17 +235,15 @@ def test_posteriors_finite_over_extreme_inputs(rho, theta, mean, var, spike, ext
     mean_l=st.floats(-10, 10),
     var_r=st.floats(1e-6, 1e3),
     var_l=st.floats(1e-6, 1e3),
-    spike=st.floats(0.0, 1.0),
-    extra=st.floats(1e-6, 1e3),
+    q=st.floats(0.0, 1.0),
+    s0=st.floats(1e-6, 1e3),
 )
 @settings(max_examples=300)
 def test_gamma_bounded_by_theta_plus_widest_component(
-    rho, theta, mean_r, mean_l, var_r, var_l, spike, extra
+    rho, theta, mean_r, mean_l, var_r, var_l, q, s0
 ):
-    r2p = SsfMessage(mean_r, var_r, spike, extra)
-    l2p = SsfMessage(mean_l, var_l, spike, extra)
-    _, gamma = eta_gamma(rho, theta, r2p, l2p)
-    widest = max(var_r, var_l) + extra
+    _, gamma = eta_gamma(rho, theta, (mean_r, var_r), (mean_l, var_l), q, s0)
+    widest = max(var_r, var_l) + s0
     assert 0.0 <= gamma <= theta + widest + 1e-9
 
 
@@ -259,17 +252,14 @@ def test_moments_against_live_quadrature_draws():
     for _ in range(25):
         rho = rng.uniform(-4, 4)
         theta = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
-        msgs = []
-        for _ in range(2):
-            msgs.append(
-                (
-                    rng.uniform(-3, 3),
-                    float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))),
-                    rng.uniform(0.05, 0.999),
-                    float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))),
-                )
-            )
-        mean, var = eta_gamma(rho, theta, SsfMessage(*msgs[0]), SsfMessage(*msgs[1]))
+        pairs = [
+            (rng.uniform(-3, 3), float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))))
+            for _ in range(2)
+        ]
+        q = rng.uniform(0.001, 0.95)
+        s0 = float(np.exp(rng.uniform(np.log(0.1), np.log(5.0))))
+        mean, var = eta_gamma(rho, theta, *pairs, q, s0)
+        msgs = [(m, v, 1.0 - q, s0) for m, v in pairs]
         qmean, qvar = quad_posterior_moments(rho, theta, msgs)
         if abs(qmean) > 1e-6:
             assert mean == pytest.approx(qmean, rel=1e-8)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ssamp.kernels import SsfMessage, eta_gamma, phi_zeta
+from ssamp.kernels import eta_gamma, phi_zeta
 from ssamp.operators import (
     column_sign_randomize,
     make_iid_gaussian,
     make_quasi_toeplitz,
     make_subsampled_dct,
 )
-from oracles import solve_reference, tvamp_solve_reference
+from oracles import dense_matrix, solve_reference, tvamp_solve_reference
 from ssamp.signals import SignalSpec, generate, measure, nmse
 from ssamp.solver import (
     Q_MAX,
@@ -47,8 +47,8 @@ EM_S0_NEW = 0.91929286264745691
 
 def _easy_instance(n=200, m=100, k=10, op_seed=0, sig_seed=7, delta=0.0):
     op = make_iid_gaussian(m, n, op_seed)
-    spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=sig_seed)
-    x, _ = generate(spec, force_k=k)
+    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=sig_seed)
+    x = generate(spec, k)
     y = measure(op, x, delta, 3)
     params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=delta)
     return op, x, y, params
@@ -157,8 +157,8 @@ def test_resolve_beta():
     # solve damps by the operator's default_beta unless the config sets one
     n, m, k = 128, 64, 6
     op = column_sign_randomize(make_quasi_toeplitz(m, n, n, 3), 4)
-    spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=5)
-    x, _ = generate(spec, force_k=k)
+    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=5)
+    x = generate(spec, k)
     y = measure(op, x, 1e-6, 6)
     params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-6)
 
@@ -175,7 +175,7 @@ def test_resolve_beta():
 
 def test_pseudodata_matches_dense_formula():
     op = make_iid_gaussian(5, 9, 1)
-    dense = op.to_dense()
+    dense = dense_matrix(op)
     mu = np.random.default_rng(2).normal(size=9)
     y = np.random.default_rng(5).normal(size=5)
     rec = _Recorder(mu, onsager=0.3)
@@ -227,13 +227,8 @@ def test_r2p_boundary_pinned_and_shifted():
     # each interior entry equals the scalar single-message posterior of
     # its left neighbor, fed by the previous iteration's message there
     for i in range(1, 5):
-        msg = SsfMessage(
-            mean=st0.r2p[0][i - 1],
-            variance=st0.r2p[1][i - 1],
-            spike_weight=1.0 - params.q,
-            slab_extra_variance=params.sigma0_sq,
-        )
-        em, ev = phi_zeta(st0.rho[i - 1], st0.theta, msg)
+        msg = (st0.r2p[0][i - 1], st0.r2p[1][i - 1])
+        em, ev = phi_zeta(st0.rho[i - 1], st0.theta, msg, params.q, params.sigma0_sq)
         assert mean[i] == pytest.approx(em, rel=1e-13)
         assert var[i] == pytest.approx(ev, rel=1e-13)
 
@@ -299,9 +294,9 @@ def test_denoise_matches_scalar_kernel_calls():
     params = PriorParams(q=0.25, sigma0_sq=0.6)
     mu, sigma_sq, _ = denoise(st0.rho, st0.theta, st0.r2p, st0.l2p, params)
     for i in range(6):
-        r2p = SsfMessage(st0.r2p[0][i], st0.r2p[1][i], 1 - params.q, params.sigma0_sq)
-        l2p = SsfMessage(st0.l2p[0][i], st0.l2p[1][i], 1 - params.q, params.sigma0_sq)
-        g, v = eta_gamma(st0.rho[i], st0.theta, r2p, l2p)
+        r2p = (st0.r2p[0][i], st0.r2p[1][i])
+        l2p = (st0.l2p[0][i], st0.l2p[1][i])
+        g, v = eta_gamma(st0.rho[i], st0.theta, r2p, l2p, params.q, params.sigma0_sq)
         assert mu[i] == pytest.approx(g, rel=1e-13, abs=1e-15)
         assert sigma_sq[i] == pytest.approx(v, rel=1e-13)
 
@@ -328,16 +323,16 @@ def test_denoise_mean_eta_prime_matches_finite_differences():
 
 
 def test_denoiser_linear_when_spike_absent():
-    # pure-slab messages make the posterior a single Gaussian, so the
-    # denoiser must be affine in the pseudodata
+    # jump probability 0 leaves each message a single Gaussian, so the
+    # posterior is one Gaussian and the denoiser affine in the pseudodata
     rng = np.random.default_rng(4)
     rho1, rho2 = rng.normal(size=10), rng.normal(size=10)
-    msg_a = SsfMessage(rng.normal(size=10), np.exp(rng.normal(size=10)), 1.0, 0.7)
-    msg_b = SsfMessage(rng.normal(size=10), np.exp(rng.normal(size=10)), 1.0, 0.7)
+    msg_a = (rng.normal(size=10), np.exp(rng.normal(size=10)))
+    msg_b = (rng.normal(size=10), np.exp(rng.normal(size=10)))
     a = 0.37
-    g_mix, _ = eta_gamma(a * rho1 + (1 - a) * rho2, 0.8, msg_a, msg_b)
-    g1, _ = eta_gamma(rho1, 0.8, msg_a, msg_b)
-    g2, _ = eta_gamma(rho2, 0.8, msg_a, msg_b)
+    g_mix, _ = eta_gamma(a * rho1 + (1 - a) * rho2, 0.8, msg_a, msg_b, 0.0, 0.7)
+    g1, _ = eta_gamma(rho1, 0.8, msg_a, msg_b, 0.0, 0.7)
+    g2, _ = eta_gamma(rho2, 0.8, msg_a, msg_b, 0.0, 0.7)
     np.testing.assert_allclose(g_mix, a * g1 + (1 - a) * g2, atol=1e-10)
 
 
@@ -503,10 +498,10 @@ def test_variances_stay_positive():
         k = max(1, int(0.1 * m))
         op = make_iid_gaussian(m, n, int(rng.integers(1 << 30)))
         spec = SignalSpec(
-            n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0,
+            n=n, model="gaussian_pwc", sigma0=1.0,
             seed=int(rng.integers(1 << 30)),
         )
-        x, _ = generate(spec, force_k=min(k, n - 1))
+        x = generate(spec, min(k, n - 1))
         y = measure(op, x, 0.0, int(rng.integers(1 << 30)))
         params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-12)
         denoiser = ChainDenoiser(n, m, params, SolverConfig())
@@ -618,8 +613,8 @@ def test_divergence_raises_named_iteration():
     # combination; the solver must fail loudly, not return garbage
     n, m, k = 1024, 256, 26
     op = column_sign_randomize(make_quasi_toeplitz(m, n, n, 0), 5000)
-    spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=1000)
-    x, _ = generate(spec, force_k=k)
+    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1000)
+    x = generate(spec, k)
     y = measure(op, x, 0.0, 0)
     params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-12)
     with np.errstate(all="ignore"):
@@ -680,8 +675,8 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
     )
     outcomes = []
     for case, op in enumerate(ops):
-        spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=50 + case)
-        x, _ = generate(spec, force_k=k)
+        spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=50 + case)
+        x = generate(spec, k)
         for delta, truth, target in ((0.0, x, 1e-8), (1e-4, x, None), (1e-4, None, None)):
             y = measure(op, x, delta, 60 + case)
             runs = [
@@ -706,14 +701,14 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
 
     # diverging runs: undamped full-band quasi-Toeplitz rows, and a TV threshold far too small
     op = column_sign_randomize(make_quasi_toeplitz(128, 256, 256, 0), 5000)
-    spec = SignalSpec(n=256, model="gaussian_pwc", q=12 / 255, sigma0=1.0, seed=1000)
-    x, _ = generate(spec, force_k=12)
+    spec = SignalSpec(n=256, model="gaussian_pwc", sigma0=1.0, seed=1000)
+    x = generate(spec, 12)
     y = measure(op, x, 0.0, 0)
     params = PriorParams(q=12 / 255, sigma0_sq=1.0, delta=1e-12)
     config = SolverConfig(max_iters=2000, damping_beta=1.0)
     tv_op = make_iid_gaussian(64, 128, 0)
-    spec = SignalSpec(n=128, model="gaussian_pwc", q=6 / 127, sigma0=1.0, seed=1000)
-    tv_x, _ = generate(spec, force_k=6)
+    spec = SignalSpec(n=128, model="gaussian_pwc", sigma0=1.0, seed=1000)
+    tv_x = generate(spec, 6)
     tv_y = measure(tv_op, tv_x, 0.0, 0)
     tv = TvampConfig(lam=0.05, max_iters=3000, tol=0.0)
     with np.errstate(all="ignore"):

@@ -238,8 +238,8 @@ def test_easy_point_recovery():
     ok = 0
     for seed in range(20):
         op = make_iid_gaussian(m, n, seed)
-        spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=1000 + seed)
-        x, _ = generate(spec, force_k=k)
+        spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1000 + seed)
+        x = generate(spec, k)
         y = measure(op, x, 0.0, 0)
         rep = tvamp_solve(op, y, TvampConfig(lam=1.0, max_iters=100), truth=x)
         ok += nmse(x, rep.estimate) <= 1e-4
@@ -251,8 +251,8 @@ def test_divergence_raises():
     # one and the residual recursion blows up
     n, m, k = 625, 312, 31
     op = make_iid_gaussian(m, n, 3)
-    spec = SignalSpec(n=n, model="gaussian_pwc", q=k / (n - 1), sigma0=1.0, seed=1003)
-    x, _ = generate(spec, force_k=k)
+    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1003)
+    x = generate(spec, k)
     y = measure(op, x, 0.0, 0)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
@@ -261,8 +261,8 @@ def test_divergence_raises():
 
 def test_trace_shape_and_target_stop():
     op = make_iid_gaussian(60, 120, 1)
-    spec = SignalSpec(n=120, model="gaussian_pwc", q=6 / 119, sigma0=1.0, seed=5)
-    x, _ = generate(spec, force_k=6)
+    spec = SignalSpec(n=120, model="gaussian_pwc", sigma0=1.0, seed=5)
+    x = generate(spec, 6)
     y = measure(op, x, 0.0, 0)
     rep = tvamp_solve(op, y, TvampConfig(lam=1.0, max_iters=100), truth=x, target_nmse=1e-3)
     assert rep.converged
