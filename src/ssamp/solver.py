@@ -72,9 +72,9 @@ class DivergenceError(RuntimeError):
 class PriorParams:
     """Jump probability, slab variance, and measurement-noise variance.
 
-    q is clamped into [Q_MIN, Q_MAX] and sigma0_sq up to SIGMA0_SQ_MIN on
-    construction, so EM fixed points can never stick to degenerate values.
-    delta is never learned.
+    All three must be finite.  q is clamped into [Q_MIN, Q_MAX] and
+    sigma0_sq up to SIGMA0_SQ_MIN on construction, so EM fixed points can
+    never stick to degenerate values.  delta is never learned.
     """
 
     q: float
@@ -82,6 +82,8 @@ class PriorParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not all(np.isfinite((self.q, self.sigma0_sq, self.delta))):
+            raise ValueError("q, sigma0_sq and delta must be finite")
         object.__setattr__(self, "q", float(min(max(self.q, Q_MIN), Q_MAX)))
         object.__setattr__(self, "sigma0_sq", float(max(self.sigma0_sq, SIGMA0_SQ_MIN)))
         object.__setattr__(self, "delta", float(self.delta))

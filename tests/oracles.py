@@ -5,16 +5,19 @@ posterior moments come from direct quadrature of the unnormalized density,
 derivatives from central differences, EM quantities from extended-precision
 arithmetic, and the TV prox from an iterative dual solver.  Dense matrices
 are read off an operator's ``apply`` one column at a time.  The exceptions
-are frozen copies kept to check rewrites byte for byte:
+are frozen copies kept to check rewrites: byte for byte,
 ``tv_prox_sweep_reference``, the taut-string sweep indexing numpy arrays,
 and ``solve_reference``/``tvamp_solve_reference``, the two solvers' own
 AMP loops from before they shared one, built from the package's public
-sub-steps.
+sub-steps; to a stated tolerance, ``phi_zeta_reference``/
+``eta_gamma_reference``, the arithmetic of the chain kernels as pairwise
+fusions normalized by log-sum-exp, without their input checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import logsumexp
 
 from ssamp.signals import nmse
 from ssamp.solver import (
@@ -183,6 +186,46 @@ def em_oracle(rho, theta, q, sigma0_sq, dps=50):
         )
 
 
+def mp_posterior_moments(rho, theta, msgs, q, s0, floor=1e-12, dps=40):
+    """Posterior mean and variance of the chain kernels' model in dps digits.
+
+    The channel N(x; rho, theta) is fused with each (mean, var) message in
+    turn, every component splitting into spike (weight 1 - q, formed in
+    double precision as the kernels do) and slab (variance + s0).  Before
+    each fusion both variances are clamped up to ``floor``, as the kernels
+    clamp theta, the message variances and the intermediate variance.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        spike = mp.mpf(1.0 - q)
+        weights = (spike, 1 - spike)
+        floor = mp.mpf(floor)
+        s0 = mp.mpf(s0)
+        # (mean, variance, log evidence, prior weight)
+        comps = [(mp.mpf(rho), mp.mpf(theta), mp.mpf(0), mp.mpf(1))]
+        for mean, var in msgs:
+            mean, var = mp.mpf(mean), max(mp.mpf(var), floor)
+            nxt = []
+            for m, v, ev, w in comps:
+                v = max(v, floor)
+                for wk, vk in zip(weights, (var, var + s0)):
+                    b = v + vk
+                    nxt.append((
+                        (m * vk + mean * v) / b,
+                        v * vk / b,
+                        ev - (m - mean) ** 2 / (2 * b) - mp.log(b) / 2,
+                        w * wk,
+                    ))
+            comps = nxt
+        top = max(ev for _, _, ev, w in comps if w > 0)
+        ws = [w * mp.exp(ev - top) for _, _, ev, w in comps]
+        z = sum(ws)
+        post_mean = sum(w * m for w, (m, _, _, _) in zip(ws, comps)) / z
+        post_var = sum(w * (v + (m - post_mean) ** 2) for w, (m, v, _, _) in zip(ws, comps)) / z
+        return float(post_mean), float(post_var)
+
+
 # ---------------------------------------------------------------------------
 # total-variation prox oracles
 
@@ -333,6 +376,64 @@ def tv_prox_sweep_reference(values, lam):
                 vmax += (umax + lam) / (k - k0 + 1)
                 umax = -lam
                 kplus = k
+
+
+# ---------------------------------------------------------------------------
+# frozen log-sum-exp chain kernels
+
+_REF_FLOOR = 1e-12
+_REF_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _ref_floor(v):
+    return np.maximum(np.asarray(v, dtype=float), _REF_FLOOR)
+
+
+def _ref_spike_slab(msg, q, s0):
+    var = _ref_floor(msg[1])
+    w = 1.0 - np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore"):
+        return (msg[0], var, np.log(w)), (msg[0], var + s0, np.log1p(-w))
+
+
+def _ref_fuse_pair(ma, va, mb, vb):
+    va, vb = _ref_floor(va), _ref_floor(vb)
+    variance = 1.0 / (1.0 / va + 1.0 / vb)
+    mean = variance * (ma / va + mb / vb)
+    v = va + vb
+    log_evidence = -0.5 * (_REF_LOG_2PI + np.log(v) + (ma - mb) ** 2 / v)
+    return mean, variance, log_evidence
+
+
+def _ref_moments(components):
+    means, variances, log_weights = zip(*components)
+    log_z = logsumexp(np.stack(np.broadcast_arrays(*log_weights)), axis=0)
+    weights = [np.exp(lw - log_z) for lw in log_weights]
+    mean = sum((w * m for w, m in zip(weights, means)), 0.0)
+    spreads = (v + (m - mean) ** 2 for m, v in zip(means, variances))
+    variance = sum((w * s for w, s in zip(weights, spreads)), 0.0)
+    return mean, variance
+
+
+def phi_zeta_reference(rho, theta, msg, q, s0):
+    """``ssamp.kernels.phi_zeta`` as two pairwise fusions and log-sum-exp."""
+    components = []
+    for mean, var, log_w in _ref_spike_slab(msg, q, s0):
+        m, v, ev = _ref_fuse_pair(rho, theta, mean, var)
+        components.append((m, v, log_w + ev))
+    return _ref_moments(components)
+
+
+def eta_gamma_reference(rho, theta, r2p, l2p, q, s0):
+    """``ssamp.kernels.eta_gamma`` as six pairwise fusions and log-sum-exp."""
+    right, left = _ref_spike_slab(r2p, q, s0), _ref_spike_slab(l2p, q, s0)
+    components = []
+    for r_mean, r_var, r_log_w in right:
+        m1, v1, ev1 = _ref_fuse_pair(rho, theta, r_mean, r_var)
+        for l_mean, l_var, l_log_w in left:
+            m2, v2, ev2 = _ref_fuse_pair(m1, v1, l_mean, l_var)
+            components.append((m2, v2, r_log_w + l_log_w + ev1 + ev2))
+    return _ref_moments(components)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, quad_posterior_moments
+from oracles import (
+    central_difference,
+    eta_gamma_reference,
+    mp_posterior_moments,
+    phi_zeta_reference,
+    quad_posterior_moments,
+)
 from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, log_gauss, phi_zeta
 from ssamp.solver import PriorParams, denoise
 
@@ -266,3 +272,62 @@ def test_moments_against_live_quadrature_draws():
         else:
             assert mean == pytest.approx(qmean, abs=1e-10)
         assert var == pytest.approx(qvar, rel=1e-8)
+
+
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+
+
+def test_closed_forms_agree_with_log_sum_exp_reference():
+    """The closed-form kernels against the frozen log-sum-exp ones.
+
+    10,000 draws: q uniform or one of 0, 1, 1e-8, 1 - 1e-8; a fifth of the
+    message variances zero; theta, s0 and the other variances log-uniform
+    in [1e-12, 1e12]; rho and message means up to 1e6 in magnitude.  With
+    S the largest |rho| or |message mean| of a draw, the two agree to
+    rel 1e-11 plus an absolute floor of 1e-12 S on the mean and
+    1e-12 S sqrt(var) on the variance.  Where they do not, the reference
+    has lost its normalization: log-sum-exp rounds log Z at the size of the
+    log weights, which reach 1e21 here.  There the closed form must be
+    within that tolerance of 40-digit arithmetic and the reference not.
+    """
+    rng = np.random.default_rng(2024)
+    n = 10_000
+    special_q = np.array([0.0, 1.0, 1e-8, 1.0 - 1e-8])
+    q = np.where(
+        rng.uniform(size=n) < 0.5,
+        rng.uniform(0.0, 1.0, n),
+        special_q[rng.integers(0, 4, n)],
+    )
+    theta = _log_uniform(rng, 1e-12, 1e12, n)
+    s0 = _log_uniform(rng, 1e-12, 1e12, n)
+    rho, r_mean, l_mean = (
+        rng.uniform(-1.0, 1.0, n) * _log_uniform(rng, 1e-6, 1e6, n) for _ in range(3)
+    )
+    r_var, l_var = (
+        np.where(rng.uniform(size=n) < 0.2, 0.0, _log_uniform(rng, 1e-12, 1e12, n))
+        for _ in range(2)
+    )
+    r2p, l2p = (r_mean, r_var), (l_mean, l_var)
+    cases = (
+        (phi_zeta, phi_zeta_reference, (rho, theta, r2p, q, s0), (r2p,)),
+        (eta_gamma, eta_gamma_reference, (rho, theta, r2p, l2p, q, s0), (r2p, l2p)),
+    )
+    for kernel, reference, args, msgs in cases:
+        scale = np.max(np.abs([rho, *(m for m, _ in msgs)]), axis=0)
+        new_mean, new_var = kernel(*args)
+        ref_mean, ref_var = reference(*args)
+
+        def within(mean, var, mean_to, var_to, i=slice(None)):
+            mean_ok = np.abs(mean - mean_to) <= 1e-11 * np.abs(mean_to) + 1e-12 * scale[i]
+            var_tol = 1e-11 * var_to + 1e-12 * scale[i] * np.sqrt(var_to)
+            return mean_ok & (np.abs(var - var_to) <= var_tol)
+
+        apart = np.flatnonzero(~within(new_mean, new_var, ref_mean, ref_var))
+        assert apart.size < n // 10
+        for i in apart:
+            exact = mp_posterior_moments(
+                rho[i], theta[i], [(m[i], v[i]) for m, v in msgs], q[i], s0[i]
+            )
+            assert within(new_mean[i], new_var[i], *exact, i), (kernel.__name__, i)
+            assert not within(ref_mean[i], ref_var[i], *exact, i), (kernel.__name__, i)

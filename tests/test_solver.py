@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ssamp.solver as solver_module
 from ssamp.kernels import eta_gamma, phi_zeta
 from ssamp.operators import (
     column_sign_randomize,
@@ -133,6 +134,25 @@ def test_prior_params_clamping():
     assert PriorParams(q=0.3, sigma0_sq=0.0).sigma0_sq == SIGMA0_SQ_MIN
     with pytest.raises(ValueError):
         PriorParams(q=0.3, sigma0_sq=1.0, delta=-0.1)
+
+
+def test_prior_params_reject_non_finite(monkeypatch):
+    # the clamps must not let NaN or an infinity through
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in (
+            {"q": bad, "sigma0_sq": 1.0},
+            {"q": 0.1, "sigma0_sq": bad},
+            {"q": 0.1, "sigma0_sq": 1.0, "delta": bad},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                PriorParams(**kwargs)
+    # an EM refresh that lands on a non-finite prior is reported as a divergence
+    monkeypatch.setattr(
+        solver_module, "em_update", lambda rho, theta, params: PriorParams(np.nan, 1.0)
+    )
+    op = make_iid_gaussian(20, 40, 0)
+    with pytest.raises(DivergenceError, match="at iteration 1$"):
+        solve(op, np.ones(20), PriorParams(q=0.1, sigma0_sq=1.0), SolverConfig(em_enabled=True))
 
 
 def test_solver_config_validation():
@@ -716,5 +736,5 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
         assert got == _outcome(lambda: solve_reference(op, y, params, config, x))
         tv_got = _outcome(lambda: tvamp_solve(tv_op, tv_y, tv, tv_x))
         assert tv_got == _outcome(lambda: tvamp_solve_reference(tv_op, tv_y, tv, tv_x))
-    assert got == "solver state diverged at iteration 551"
+    assert got == "solver state diverged at iteration 550"
     assert tv_got.startswith("solver state diverged at iteration ")
