@@ -27,10 +27,11 @@ from .solver import (
     PriorParams,
     SolveReport,
     SolverConfig,
+    default_em_params,
     em_update,
     solve,
 )
-from .tvamp import TvampConfig, tv_divergence, tv_prox, tvamp_solve
+from .tvamp import tv_divergence, tv_prox, tvamp_solve
 from .harness import ExperimentConfig, pt_curve, run_convergence, run_phase_grid, run_runtime
 
 __version__ = "0.1.0"

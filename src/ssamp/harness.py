@@ -34,7 +34,7 @@ from .operators import (
 )
 from .signals import MODELS, SignalSpec, generate, measure, nmse
 from .solver import DivergenceError, PriorParams, SolverConfig, default_em_params, solve
-from .tvamp import TvampConfig, tvamp_solve
+from .tvamp import tvamp_solve
 
 __all__ = [
     "SOLVERS",
@@ -59,7 +59,6 @@ __all__ = [
     "convergence_table",
     "runtime_table",
     "emit",
-    "iters_to_target",
 ]
 
 SOLVERS = ("ssamp_oracle", "ssamp_em", "tvamp")
@@ -76,9 +75,11 @@ class ExperimentConfig:
     ``grid_m_over_n`` x ``grid_k_over_m`` spans phase grids; convergence
     and runtime runs read the two lists pairwise as individual cases.
     ``q`` overrides the oracle prior (default: realized k / (n-1)), and
-    seeds EM when the EM solver is chosen.  ``beta`` and ``theta_mode``
-    default per solver/operator when left unset.  The two fast transforms,
+    seeds EM when the EM solver is chosen.  ``beta`` unset damps by the
+    operator's default_beta, for every solver.  The two fast transforms,
     ``subsampled_dct`` and ``subsampled_wht``, need ``sign_randomize``.
+    Construction rejects settings no run can use, and builds
+    ``solver_config``, the ``SolverConfig`` each trial hands its solver.
     """
 
     solver: str = "ssamp_oracle"
@@ -97,7 +98,6 @@ class ExperimentConfig:
     beta: float | None = None
     max_iters: int = 2000
     tol: float = 1e-14
-    theta_mode: str | None = None
     band: int | None = None
     col_weight: int = 8
     sign_randomize: bool = False
@@ -123,6 +123,18 @@ class ExperimentConfig:
         for g in (self.grid_m_over_n, self.grid_k_over_m):
             if not g or any(not 0.0 < v <= 1.0 for v in g):
                 raise ValueError("grid values must lie in (0, 1]")
+        # the negated comparisons reject NaN too
+        if not self.delta >= 0.0:
+            raise ValueError("delta must be nonnegative")
+        if not self.sigma0 > 0.0:
+            raise ValueError("sigma0 must be positive")
+        if self.q is not None and not 0.0 <= self.q <= 1.0:
+            raise ValueError("q must lie in [0, 1]")
+        if not self.lam > 0.0:
+            raise ValueError("lam must be positive")
+        object.__setattr__(
+            self, "solver_config", SolverConfig(self.max_iters, self.tol, self.beta)
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -162,7 +174,6 @@ class ConvergenceResult:
     m_over_n: float
     k_over_m: float
     rows: tuple  # (iteration, nmse_db_mean, nmse_db_std)
-    crossings: tuple  # per-trial first iteration at or below success_nmse (0 = never)
 
 
 @dataclass(frozen=True)
@@ -231,32 +242,19 @@ def make_instance(
 def solve_instance(config, op, y, k, truth, target_nmse):
     """Dispatch to the configured solver; returns a SolveReport."""
     if config.solver == "tvamp":
-        tv = TvampConfig(
-            lam=config.lam,
-            max_iters=config.max_iters,
-            tol=config.tol,
-            damping_beta=config.beta if config.beta is not None else 1.0,
+        return tvamp_solve(
+            op, y, config.lam, config.solver_config, truth=truth, target_nmse=target_nmse
         )
-        return tvamp_solve(op, y, tv, truth=truth, target_nmse=target_nmse)
     em = config.solver == "ssamp_em"
-    solver_config = SolverConfig(
-        max_iters=config.max_iters,
-        tol=config.tol,
-        damping_beta=config.beta,
-        em_enabled=em,
-        theta_mode=config.theta_mode
-        or ("residual_norm" if em else "variance_sum"),
-    )
-    if em:
-        params = (
-            PriorParams(config.q, config.sigma0**2, config.delta)
-            if config.q is not None
-            else default_em_params(op, y, config.delta)
-        )
+    if config.q is not None:
+        params = PriorParams(config.q, config.sigma0**2, config.delta)
+    elif em:
+        params = default_em_params(op, y, config.delta)
     else:
-        q = config.q if config.q is not None else k / (config.n - 1)
-        params = PriorParams(q=q, sigma0_sq=config.sigma0**2, delta=config.delta)
-    return solve(op, y, params, solver_config, truth=truth, target_nmse=target_nmse)
+        params = PriorParams(k / (config.n - 1), config.sigma0**2, config.delta)
+    return solve(
+        op, y, params, config.solver_config, truth=truth, target_nmse=target_nmse, em=em
+    )
 
 
 def run_single_trial(
@@ -358,12 +356,6 @@ def _nmse_db(value: float) -> float:
     return 10.0 * np.log10(max(value, NMSE_DB_FLOOR))
 
 
-def iters_to_target(trace: np.ndarray, target: float) -> int:
-    """First 1-based iteration whose NMSE is at or below target; 0 if never."""
-    hits = np.nonzero(np.asarray(trace) <= target)[0]
-    return int(hits[0]) + 1 if hits.size else 0
-
-
 def _paired_cases(config: ExperimentConfig):
     """(m_over_n, k_over_m, m, k) per case, reading the two grids pairwise."""
     if len(config.grid_m_over_n) != len(config.grid_k_over_m):
@@ -406,15 +398,7 @@ def run_convergence(config: ExperimentConfig, progress=None) -> list[Convergence
             (it + 1, float(np.mean(stacked_db[:, it])), float(np.std(stacked_db[:, it])))
             for it in range(config.max_iters)
         )
-        crossings = tuple(iters_to_target(tr, config.success_nmse) for tr in traces)
-        results.append(
-            ConvergenceResult(
-                m_over_n=m_over_n,
-                k_over_m=k_over_m,
-                rows=rows,
-                crossings=crossings,
-            )
-        )
+        results.append(ConvergenceResult(m_over_n=m_over_n, k_over_m=k_over_m, rows=rows))
     return results
 
 

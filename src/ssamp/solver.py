@@ -9,8 +9,9 @@ attributes (coordinate variances ``sigma_sq``, the ``r2p``/``l2p``
 messages as (mean, var) pairs, the last ``theta`` and the prior
 ``params``) and does per call, in order:
 
-1. the shared channel variance theta, from the running coordinate
-   variances (or the residual norm, see ``theta_mode``)
+1. the shared channel variance theta: delta plus the running coordinate
+   variances over m, or with EM the residual energy ||r||^2 / m (the AMP
+   noise estimate of Donoho, Maleki & Montanari, PNAS 2009)
 2. rightward message update along the difference chain (Jacobi: reads the
    previous iteration's messages)
 3. leftward message update: the rightward update on reversed views
@@ -42,7 +43,6 @@ __all__ = [
     "Q_MAX",
     "SIGMA0_SQ_MIN",
     "THETA_FLOOR",
-    "check_loop_settings",
     "channel_variance",
     "r2p_update",
     "denoise",
@@ -59,8 +59,6 @@ Q_MIN = 1e-8
 Q_MAX = 1.0 - 1e-8
 SIGMA0_SQ_MIN = 1e-12
 THETA_FLOOR = 1e-12
-
-THETA_MODES = ("variance_sum", "residual_norm")
 
 
 class DivergenceError(RuntimeError):
@@ -91,29 +89,21 @@ class PriorParams:
             raise ValueError("delta must be nonnegative")
 
 
-def check_loop_settings(max_iters: int, tol: float, damping_beta: float):
-    """Reject AMP loop settings no run can use."""
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    if not 0.0 < damping_beta <= 1.0:
-        raise ValueError("damping_beta must lie in (0, 1]")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
+    """The AMP loop settings both solvers take, checked on construction."""
+
     max_iters: int = 2000
     tol: float = 1e-14
     damping_beta: float | None = None  # None: the operator's default_beta
-    em_enabled: bool = False
-    theta_mode: str = "variance_sum"
 
     def __post_init__(self):
-        beta = 1.0 if self.damping_beta is None else self.damping_beta
-        check_loop_settings(self.max_iters, self.tol, beta)
-        if self.theta_mode not in THETA_MODES:
-            raise ValueError(f"unknown theta_mode {self.theta_mode!r}")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.tol >= 0.0:  # rejects NaN too
+            raise ValueError("tol must be nonnegative")
+        if self.damping_beta is not None and not 0.0 < self.damping_beta <= 1.0:
+            raise ValueError("damping_beta must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -126,13 +116,14 @@ class SolveReport:
 
 
 def channel_variance(
-    sigma_sq: np.ndarray, r: np.ndarray, m: int, params: PriorParams, theta_mode: str
+    sigma_sq: np.ndarray, r: np.ndarray, m: int, params: PriorParams, em: bool
 ) -> float:
-    """The shared pseudodata channel variance theta, floored at THETA_FLOOR."""
-    if theta_mode == "variance_sum":
-        theta = params.delta + float(np.sum(sigma_sq)) / m
-    else:
+    """The shared pseudodata channel variance theta, floored at THETA_FLOOR:
+    ||r||^2 / m with EM, delta + sum(sigma_sq) / m without."""
+    if em:
         theta = float(r @ r) / m
+    else:
+        theta = params.delta + float(np.sum(sigma_sq)) / m
     return max(theta, THETA_FLOOR)
 
 
@@ -219,28 +210,28 @@ def default_em_params(op: LinearOperator, y: np.ndarray, delta: float = 0.0) -> 
     """
     rho0 = op.adjoint(np.asarray(y, dtype=float))
     s2 = float(np.var(np.diff(rho0))) / 2.0
-    return PriorParams(q=0.1, sigma0_sq=max(s2, SIGMA0_SQ_MIN), delta=delta)
+    return PriorParams(q=0.1, sigma0_sq=s2, delta=delta)
 
 
 def amp_loop(
     op: LinearOperator,
     y: np.ndarray,
     denoiser,
-    max_iters: int,
-    tol: float,
-    beta: float,
+    config: SolverConfig,
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
 ) -> SolveReport:
     """Run AMP around ``denoiser(rho, r) -> (mu, onsager)`` from mu = 0, r = y.
 
-    Stops when the relative estimate change ||mu_new - mu||^2 / ||mu||^2
-    drops to tol (using ||mu_new||^2 alone while the estimate is still
-    zero), or earlier when an nmse target against ``truth`` is met.
-    Raises DivergenceError naming the iteration when the denoiser rejects
-    its input or mu or r stop being finite.  final_params is left None.
+    The residual is damped by the config's damping_beta, or by the
+    operator's default_beta when that is unset.  Stops when the relative
+    estimate change ||mu_new - mu||^2 / ||mu||^2 drops to tol (using
+    ||mu_new||^2 alone while the estimate is still zero), or earlier when
+    an nmse target against ``truth`` is met.  Raises DivergenceError
+    naming the iteration when the denoiser rejects its input or mu or r
+    stop being finite.  final_params is left None.
     """
-    check_loop_settings(max_iters, tol, beta)
+    beta = op.default_beta if config.damping_beta is None else config.damping_beta
     y = np.asarray(y, dtype=float)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},)")
@@ -250,7 +241,7 @@ def amp_loop(
     r = y.copy()
     trace = [] if truth is not None else None
     converged = False
-    for t in range(1, max_iters + 1):
+    for t in range(1, config.max_iters + 1):
         rho = op.adjoint(r) + mu
         try:
             mu_new, onsager = denoiser(rho, r)
@@ -269,7 +260,7 @@ def amp_loop(
             if target_nmse is not None and trace[-1] <= target_nmse:
                 converged = True
                 break
-        if rel <= tol:
+        if rel <= config.tol:
             converged = True
             break
     return SolveReport(
@@ -285,14 +276,14 @@ class ChainDenoiser:
     """The chain denoiser and its state: the coordinate variances
     ``sigma_sq``, the ``r2p`` and ``l2p`` messages as (mean, var) pairs,
     the last channel variance ``theta`` (None before the first call), and
-    the ``params`` the next call uses, which EM (when enabled) refreshes
+    the ``params`` the next call uses, which EM (when ``em``) refreshes
     after each call.  Starts from slab-variance uncertainty everywhere."""
 
-    def __init__(self, n: int, m: int, params: PriorParams, config: SolverConfig):
+    def __init__(self, n: int, m: int, params: PriorParams, em: bool = False):
         if n < 2:
             raise ValueError("need at least two coordinates")
         self.m = m
-        self.config = config
+        self.em = em
         self.params = params
         s0 = params.sigma0_sq
         self.sigma_sq = np.full(n, s0)
@@ -302,13 +293,13 @@ class ChainDenoiser:
 
     def __call__(self, rho: np.ndarray, r: np.ndarray):
         params = self.params
-        theta = channel_variance(self.sigma_sq, r, self.m, params, self.config.theta_mode)
+        theta = channel_variance(self.sigma_sq, r, self.m, params, self.em)
         self.theta = theta
         r2p = r2p_update(rho, theta, *self.r2p, params)
         l2m, l2v = r2p_update(rho[::-1], theta, self.l2p[0][::-1], self.l2p[1][::-1], params)
         self.r2p, self.l2p = r2p, (l2m[::-1], l2v[::-1])
         mu, self.sigma_sq, mean_eta_prime = denoise(rho, theta, self.r2p, self.l2p, params)
-        if self.config.em_enabled:
+        if self.em:
             self.params = em_update(rho, theta, params)
         return mu, mean_eta_prime
 
@@ -317,20 +308,19 @@ def solve(
     op: LinearOperator,
     y: np.ndarray,
     params: PriorParams,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
+    em: bool = False,
 ) -> SolveReport:
     """Run ``amp_loop`` with the chain denoiser; final_params is the last prior.
 
-    EM runs start from the given params too; ``default_em_params(op, y,
-    delta)`` gives a scale-derived start.  The damping is the operator's
-    default_beta unless the config sets one.
+    With ``em`` the prior's (q, sigma0_sq) are learned from the given
+    params on; ``default_em_params(op, y, delta)`` gives a scale-derived
+    start.
     """
     if params is None:
         raise ValueError("params is required; default_em_params(op, y, delta) gives an EM start")
-    config = config or SolverConfig()
-    beta = op.default_beta if config.damping_beta is None else config.damping_beta
-    denoiser = ChainDenoiser(op.n, op.m, params, config)
-    report = amp_loop(op, y, denoiser, config.max_iters, config.tol, beta, truth, target_nmse)
+    denoiser = ChainDenoiser(op.n, op.m, params, em)
+    report = amp_loop(op, y, denoiser, config, truth, target_nmse)
     return replace(report, final_params=denoiser.params)

@@ -11,36 +11,23 @@ theta_t = ||r||^2 / m, so the TV bias shrinks as the residual does; a
 fixed threshold instead leaves an O(lam^2) error floor.  The Onsager
 coefficient is the denoiser divergence, which for this prox equals the
 number of constant segments of the output divided by n.  The iteration,
-stopping rule and divergence rule are ``solver.amp_loop``'s: this module
-supplies only the denoiser.
+its settings (``solver.SolverConfig``, with the operator's damping
+default), the stopping rule and the divergence rule are
+``solver.amp_loop``'s: this module supplies only the denoiser.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import LinearOperator
-from .solver import SolveReport, amp_loop, check_loop_settings
+from .solver import SolveReport, SolverConfig, amp_loop
 
-__all__ = ["TvampConfig", "tv_prox", "tv_divergence", "tvamp_solve", "SEGMENT_TOL"]
+__all__ = ["tv_prox", "tv_divergence", "tvamp_solve", "SEGMENT_TOL"]
 
 SEGMENT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TvampConfig:
-    lam: float
-    max_iters: int = 2000
-    tol: float = 1e-14
-    damping_beta: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        check_loop_settings(self.max_iters, self.tol, self.damping_beta)
 
 
 def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
@@ -144,17 +131,18 @@ def tv_divergence(x: np.ndarray, tol: float = SEGMENT_TOL) -> float:
 def tvamp_solve(
     op: LinearOperator,
     y: np.ndarray,
-    config: TvampConfig,
+    lam: float,
+    config: SolverConfig = SolverConfig(),
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
 ) -> SolveReport:
     """``amp_loop`` around the TV prox at threshold lam * sqrt(||r||^2 / m)."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
 
     def denoiser(rho, r):
         theta = float(np.sum(r**2)) / op.m
-        mu = tv_prox(rho, config.lam * np.sqrt(theta))
+        mu = tv_prox(rho, lam * np.sqrt(theta))
         return mu, tv_divergence(mu)
 
-    return amp_loop(
-        op, y, denoiser, config.max_iters, config.tol, config.damping_beta, truth, target_nmse
-    )
+    return amp_loop(op, y, denoiser, config, truth, target_nmse)

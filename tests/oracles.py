@@ -440,13 +440,14 @@ def eta_gamma_reference(rho, theta, r2p, l2p, q, s0):
 # frozen per-solver AMP loops
 
 
-def solve_reference(op, y, params, config, truth=None, target_nmse=None):
+def solve_reference(op, y, params, config, truth=None, target_nmse=None, em=False):
     """The chain solver's loop before the shared AMP loop, step for step.
 
-    Pseudodata and theta, rightward and leftward messages, coordinate
-    posterior, damped Onsager residual, then the EM refresh; divergence is
-    checked on mu, sigma_sq and r.  Returns a SolveReport or raises
-    DivergenceError, and must match ``ssamp.solver.solve`` byte for byte.
+    Pseudodata and theta (the residual energy with ``em``, the variance
+    sum without), rightward and leftward messages, coordinate posterior,
+    damped Onsager residual, then the EM refresh; divergence is checked on
+    mu, sigma_sq and r.  Returns a SolveReport or raises DivergenceError,
+    and must match ``ssamp.solver.solve`` byte for byte.
     """
     y = np.asarray(y, dtype=float)
     beta = config.damping_beta if config.damping_beta is not None else op.default_beta
@@ -462,7 +463,7 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None):
         prev_mu = mu
         try:
             rho = op.adjoint(r) + mu
-            if config.theta_mode == "variance_sum":
+            if not em:
                 theta = params.delta + float(np.sum(sigma_sq)) / op.m
             else:
                 theta = float(r @ r) / op.m
@@ -473,7 +474,7 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None):
             mu, sigma_sq, mean_eta_prime = denoise(rho, theta, r2p, l2p, params)
             candidate = y - op.apply(mu) + r * (op.n / op.m) * mean_eta_prime
             r = (1.0 - beta) * r + beta * candidate
-            if config.em_enabled:
+            if em:
                 params = em_update(rho, theta, params)
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceError(f"solver state diverged at iteration {it}") from exc
@@ -495,7 +496,7 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None):
     return SolveReport(mu, it, converged, params, None if trace is None else np.asarray(trace))
 
 
-def tvamp_solve_reference(op, y, config, truth=None, target_nmse=None):
+def tvamp_solve_reference(op, y, lam, config, truth=None, target_nmse=None):
     """The TV-AMP loop before the shared AMP loop, step for step.
 
     Checks the threshold before the prox, and mu and r after the residual.
@@ -503,7 +504,7 @@ def tvamp_solve_reference(op, y, config, truth=None, target_nmse=None):
     ``ssamp.tvamp.tvamp_solve`` byte for byte.
     """
     y = np.asarray(y, dtype=float)
-    beta = config.damping_beta
+    beta = config.damping_beta if config.damping_beta is not None else op.default_beta
     mu = np.zeros(op.n)
     r = y.copy()
     trace = [] if truth is not None else None
@@ -511,7 +512,7 @@ def tvamp_solve_reference(op, y, config, truth=None, target_nmse=None):
     for it in range(1, config.max_iters + 1):
         theta = float(np.sum(r**2)) / op.m
         rho = op.adjoint(r) + mu
-        threshold = config.lam * np.sqrt(theta)
+        threshold = lam * np.sqrt(theta)
         if not np.isfinite(threshold):
             raise DivergenceError(f"solver state diverged at iteration {it}")
         mu_new = tv_prox(rho, threshold)

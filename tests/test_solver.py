@@ -1,4 +1,3 @@
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +34,7 @@ from ssamp.solver import (
     solve,
     update_residual,
 )
-from ssamp.tvamp import TvampConfig, tvamp_solve
+from ssamp.tvamp import tvamp_solve
 
 # frozen one-step values from the 50-digit reference implementation
 # (tests/oracles.py em_oracle) for rho, theta, q, sigma0_sq below
@@ -83,9 +82,9 @@ class _Recorder:
 # ---------------------------------------------------------------- init
 
 
-def test_init_state_fields():
+def test_chain_denoiser_start_and_first_pseudodata():
     params = PriorParams(q=0.1, sigma0_sq=1.0)
-    den = ChainDenoiser(4, 2, params, SolverConfig())
+    den = ChainDenoiser(4, 2, params)
     assert np.array_equal(den.sigma_sq, np.ones(4))
     assert np.array_equal(den.r2p[0], np.zeros(4))
     assert np.array_equal(den.r2p[1], np.ones(4))
@@ -97,18 +96,18 @@ def test_init_state_fields():
     op = make_iid_gaussian(2, 4, 0)
     y = np.array([1.0, 2.0])
     rec = _Recorder(np.zeros(4))
-    rep = amp_loop(op, y, rec, 1, 0.0, 1.0)
+    rep = amp_loop(op, y, rec, SolverConfig(max_iters=1, tol=0.0))
     assert rep.iters_run == 1 and len(rec.calls) == 1
     rho, r = rec.calls[0]
     np.testing.assert_array_equal(r, y)
     np.testing.assert_array_equal(rho, op.adjoint(y))
 
 
-def test_init_state_residual_is_a_copy():
+def test_amp_loop_residual_is_a_copy_of_y():
     op = make_iid_gaussian(3, 5, 0)
     y = np.array([1.0, 2.0, 3.0])
     rec = _Recorder(np.zeros(5))
-    amp_loop(op, y, rec, 1, 0.0, 1.0)
+    amp_loop(op, y, rec, SolverConfig(max_iters=1, tol=0.0))
     _, r = rec.calls[0]
     y[0] = 99.0
     assert r[0] == 1.0
@@ -117,12 +116,12 @@ def test_init_state_residual_is_a_copy():
     assert np.all(den.r2p[1] == 0.25) and np.all(den.l2p[1] == 0.25)
 
 
-def test_init_state_validation():
+def test_chain_denoiser_and_amp_loop_reject_bad_sizes():
     p = PriorParams(q=0.1, sigma0_sq=1.0)
     with pytest.raises(ValueError, match="two coordinates"):
-        ChainDenoiser(1, 1, p, SolverConfig())
+        ChainDenoiser(1, 1, p)
     with pytest.raises(ValueError):
-        amp_loop(make_iid_gaussian(2, 4, 0), np.zeros(3), _Recorder(np.zeros(4)), 1, 0.0, 1.0)
+        amp_loop(make_iid_gaussian(2, 4, 0), np.zeros(3), _Recorder(np.zeros(4)), SolverConfig())
 
 
 # ---------------------------------------------------------------- params / config
@@ -152,7 +151,7 @@ def test_prior_params_reject_non_finite(monkeypatch):
     )
     op = make_iid_gaussian(20, 40, 0)
     with pytest.raises(DivergenceError, match="at iteration 1$"):
-        solve(op, np.ones(20), PriorParams(q=0.1, sigma0_sq=1.0), SolverConfig(em_enabled=True))
+        solve(op, np.ones(20), PriorParams(q=0.1, sigma0_sq=1.0), em=True)
 
 
 def test_solver_config_validation():
@@ -164,17 +163,17 @@ def test_solver_config_validation():
         SolverConfig(damping_beta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping_beta=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(theta_mode="nope")
+    assert SolverConfig().damping_beta is None
 
 
-def test_resolve_beta():
+def test_both_solvers_damp_by_operator_default_beta():
     assert make_iid_gaussian(4, 8, 0).default_beta == 1.0
     assert make_subsampled_dct(4, 8, 0).default_beta == 1.0
     qt = make_quasi_toeplitz(4, 8, 8, 0)
     assert qt.default_beta == 0.5
     assert column_sign_randomize(qt, 1).default_beta == 0.5
-    # solve damps by the operator's default_beta unless the config sets one
+    # solve and tvamp_solve damp by the operator's default_beta unless the
+    # config sets one
     n, m, k = 128, 64, 6
     op = column_sign_randomize(make_quasi_toeplitz(m, n, n, 3), 4)
     spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=5)
@@ -186,8 +185,14 @@ def test_resolve_beta():
         config = SolverConfig(max_iters=40, tol=0.0, damping_beta=beta)
         return _outcome(lambda: solve(op, y, params, config, x))
 
+    def tv_run(beta):
+        config = SolverConfig(max_iters=40, tol=0.0, damping_beta=beta)
+        return _outcome(lambda: tvamp_solve(op, y, 1.0, config, x))
+
     assert run(None) == run(0.5)
     assert run(0.9) != run(0.5)
+    assert tv_run(None) == tv_run(0.5)
+    assert tv_run(1.0) != tv_run(0.5)
 
 
 # ---------------------------------------------------------------- pseudodata
@@ -199,12 +204,12 @@ def test_pseudodata_matches_dense_formula():
     mu = np.random.default_rng(2).normal(size=9)
     y = np.random.default_rng(5).normal(size=5)
     rec = _Recorder(mu, onsager=0.3)
-    amp_loop(op, y, rec, 2, 0.0, 1.0)
+    amp_loop(op, y, rec, SolverConfig(max_iters=2, tol=0.0))
     rho, r = rec.calls[1]
     np.testing.assert_allclose(rho, dense.T @ r + mu, rtol=1e-12)
     st0 = _random_state(9, 2)
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
-    theta = channel_variance(st0.sigma_sq, r, 5, params, "variance_sum")
+    theta = channel_variance(st0.sigma_sq, r, 5, params, em=False)
     assert theta == pytest.approx(np.sum(st0.sigma_sq) / 5, rel=1e-14)
 
 
@@ -213,7 +218,7 @@ def test_pseudodata_zero_residual_returns_mu():
     op = make_iid_gaussian(5, 9, 1)
     mu = np.random.default_rng(2).normal(size=9)
     rec = _Recorder(mu)
-    amp_loop(op, op.apply(mu), rec, 2, 0.0, 1.0)
+    amp_loop(op, op.apply(mu), rec, SolverConfig(max_iters=2, tol=0.0))
     rho, r = rec.calls[1]
     np.testing.assert_array_equal(r, np.zeros(5))
     np.testing.assert_array_equal(rho, mu)
@@ -223,16 +228,16 @@ def test_pseudodata_theta_modes():
     sigma_sq = np.zeros(4)
     r = np.array([3.0, 4.0])
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=1e-10)
-    theta = channel_variance(sigma_sq, r, 2, params, "variance_sum")
+    theta = channel_variance(sigma_sq, r, 2, params, em=False)
     assert theta == pytest.approx(1e-10, rel=1e-12)
-    theta = channel_variance(sigma_sq, r, 2, params, "residual_norm")
+    theta = channel_variance(sigma_sq, r, 2, params, em=True)
     assert theta == pytest.approx(12.5, rel=1e-14)
 
 
 def test_pseudodata_theta_floor():
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
-    for mode in ("variance_sum", "residual_norm"):
-        assert channel_variance(np.zeros(4), np.zeros(2), 2, params, mode) == THETA_FLOOR
+    for em in (False, True):
+        assert channel_variance(np.zeros(4), np.zeros(2), 2, params, em) == THETA_FLOOR
 
 
 # ---------------------------------------------------------------- chain messages
@@ -256,7 +261,7 @@ def test_r2p_boundary_pinned_and_shifted():
 def test_r2p_zero_input_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    den = ChainDenoiser(n, 2, params, SolverConfig())
+    den = ChainDenoiser(n, 2, params)
     mean, var = r2p_update(np.zeros(n), 0.5, *den.r2p, params)
     np.testing.assert_array_equal(mean, np.zeros(n))
     assert np.all(var > 0)
@@ -266,9 +271,8 @@ def test_l2p_is_mirror_of_r2p():
     # the chain has no preferred direction: reversed pseudodata gives the
     # reversed estimate, with the two message directions swapped
     params = PriorParams(q=0.1, sigma0_sq=1.3)
-    config = SolverConfig(theta_mode="residual_norm")
-    fwd = ChainDenoiser(7, 4, params, config)
-    rev = ChainDenoiser(7, 4, params, config)
+    fwd = ChainDenoiser(7, 4, params, em=True)
+    rev = ChainDenoiser(7, 4, params, em=True)
     rng = np.random.default_rng(21)
     for _ in range(3):
         rho, r = rng.normal(size=7) * 2, rng.normal(size=4)
@@ -302,7 +306,7 @@ def test_r2p_gaussian_filtering_collapse():
 def test_denoise_zero_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    den = ChainDenoiser(n, 2, params, SolverConfig())
+    den = ChainDenoiser(n, 2, params)
     mu, sigma_sq, mep = denoise(np.zeros(n), 0.5, den.r2p, den.l2p, params)
     np.testing.assert_array_equal(mu, np.zeros(n))
     assert np.all(sigma_sq > 0)
@@ -441,10 +445,7 @@ def test_em_learns_jump_rate_from_data():
     hits = 0
     for seed in range(6):
         op, x, y, _ = _easy_instance(n, m, k, op_seed=seed, sig_seed=100 + seed)
-        rep = solve(
-            op, y, default_em_params(op, y),
-            SolverConfig(max_iters=60, em_enabled=True, theta_mode="residual_norm"),
-        )
+        rep = solve(op, y, default_em_params(op, y), SolverConfig(max_iters=60), em=True)
         q_true = k / (n - 1)
         if q_true / 2 <= rep.final_params.q <= q_true * 2:
             hits += 1
@@ -456,7 +457,6 @@ def test_em_learns_jump_rate_from_data():
 
 def test_solve_composes_sub_operations():
     op, x, y, params = _easy_instance()
-    config = SolverConfig(em_enabled=True, theta_mode="variance_sum")
     beta = op.default_beta
     s0 = params.sigma0_sq
     sigma_sq = np.full(op.n, s0)
@@ -466,7 +466,7 @@ def test_solve_composes_sub_operations():
     want_params = params
     for _ in range(4):
         rho = op.adjoint(r) + mu
-        theta = channel_variance(sigma_sq, r, op.m, want_params, config.theta_mode)
+        theta = channel_variance(sigma_sq, r, op.m, want_params, em=True)
         r2p_new = r2p_update(rho, theta, *r2p, want_params)
         l2m, l2v = r2p_update(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], want_params)
         r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])
@@ -474,13 +474,13 @@ def test_solve_composes_sub_operations():
         r = update_residual(op, y, mu, r, mep, beta)
         want_params = em_update(rho, theta, want_params)
 
-    got = solve(op, y, params, dataclasses.replace(config, max_iters=4, tol=0.0))
+    got = solve(op, y, params, SolverConfig(max_iters=4, tol=0.0), em=True)
     assert got.iters_run == 4
     np.testing.assert_array_equal(got.estimate, mu)
     assert got.final_params.q == want_params.q
     assert got.final_params.sigma0_sq == want_params.sigma0_sq
-    denoiser = ChainDenoiser(op.n, op.m, params, config)
-    amp_loop(op, y, denoiser, 4, 0.0, beta)
+    denoiser = ChainDenoiser(op.n, op.m, params, em=True)
+    amp_loop(op, y, denoiser, SolverConfig(max_iters=4, tol=0.0))
     np.testing.assert_array_equal(denoiser.sigma_sq, sigma_sq)
     for got, want in ((denoiser.r2p, r2p), (denoiser.l2p, l2p)):
         np.testing.assert_array_equal(got[0], want[0])
@@ -490,24 +490,12 @@ def test_solve_composes_sub_operations():
 
 
 def test_chain_denoiser_fixed_point_drift():
-    # at rho = x with a zero residual, theta sits at its floor and the
-    # denoiser must hand x back
+    # with EM theta is the residual energy: at rho = x with a zero
+    # residual it sits at its floor, and the denoiser must hand x back
     op, x, y, params = _easy_instance()
-    denoiser = ChainDenoiser(op.n, op.m, params, SolverConfig(theta_mode="residual_norm"))
+    denoiser = ChainDenoiser(op.n, op.m, params, em=True)
     mu, _ = denoiser(x.copy(), np.zeros(op.m))
     assert nmse(x, mu) <= 1e-10
-
-
-def test_theta_modes_agree_on_easy_instance():
-    # both channel-variance estimates settle on the same noise-limited
-    # floor; compare once both have reached it
-    op, x, y, params = _easy_instance(n=200, m=100, k=5, delta=1e-4)
-    traces = []
-    for mode in ("variance_sum", "residual_norm"):
-        rep = solve(op, y, params, SolverConfig(max_iters=20, tol=0.0, theta_mode=mode), truth=x)
-        traces.append(rep.nmse_trace)
-    db = [10 * np.log10(t[19]) for t in traces]
-    assert abs(db[0] - db[1]) <= 1.0
 
 
 def test_variances_stay_positive():
@@ -524,7 +512,7 @@ def test_variances_stay_positive():
         x = generate(spec, min(k, n - 1))
         y = measure(op, x, 0.0, int(rng.integers(1 << 30)))
         params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-12)
-        denoiser = ChainDenoiser(n, m, params, SolverConfig())
+        denoiser = ChainDenoiser(n, m, params)
         calls = []
 
         def checked(rho, r):
@@ -536,7 +524,7 @@ def test_variances_stay_positive():
             calls.append(1)
             return out
 
-        amp_loop(op, y, checked, 50, 0.0, op.default_beta)
+        amp_loop(op, y, checked, SolverConfig(max_iters=50, tol=0.0))
         assert calls
 
 
@@ -563,7 +551,7 @@ def test_solve_validates_shape_and_params():
     with pytest.raises(ValueError):
         solve(op, np.zeros(10), None)  # EM off: params required
     with pytest.raises(ValueError, match="default_em_params"):
-        solve(op, np.zeros(10), None, SolverConfig(em_enabled=True))  # EM on too
+        solve(op, np.zeros(10), None, em=True)  # EM on too
 
 
 def test_noiseless_recovery_small():
@@ -576,11 +564,7 @@ def test_noiseless_recovery_small():
 
 def test_em_recovery_small():
     op, x, y, _ = _easy_instance(n=120, m=60, k=6)
-    rep = solve(
-        op, y, default_em_params(op, y),
-        SolverConfig(max_iters=200, em_enabled=True, theta_mode="residual_norm"),
-        truth=x,
-    )
+    rep = solve(op, y, default_em_params(op, y), SolverConfig(max_iters=200), truth=x, em=True)
     assert nmse(x, rep.estimate) <= 1e-6
     assert rep.final_params.q > 0
 
@@ -607,9 +591,8 @@ def test_solve_trace_shapes():
 def test_boundary_messages_track_em_slab_variance():
     # the pinned end messages carry the current (learned) slab variance
     op, x, y, _ = _easy_instance(n=120, m=60, k=6)
-    cfg = SolverConfig(max_iters=40, em_enabled=True, theta_mode="residual_norm")
     params0 = default_em_params(op, y)
-    denoiser = ChainDenoiser(op.n, op.m, params0, cfg)
+    denoiser = ChainDenoiser(op.n, op.m, params0, em=True)
     used = []  # (prior a call used, messages after that call)
 
     def recorded(rho, r):
@@ -618,13 +601,13 @@ def test_boundary_messages_track_em_slab_variance():
         used.append((params, denoiser.r2p, denoiser.l2p))
         return out
 
-    amp_loop(op, y, recorded, 6, 0.0, op.default_beta)
+    amp_loop(op, y, recorded, SolverConfig(max_iters=6, tol=0.0))
     assert len(used) == 6
     params, r2p, l2p = used[5]
     assert params.sigma0_sq != params0.sigma0_sq
     assert r2p[1][0] == params.sigma0_sq
     assert l2p[1][-1] == params.sigma0_sq
-    rep = solve(op, y, params0, cfg)
+    rep = solve(op, y, params0, SolverConfig(max_iters=40), em=True)
     assert np.isfinite(rep.estimate).all()
 
 
@@ -655,6 +638,7 @@ def test_nmse_trend_improves_on_easy_points():
 def test_amp_loop_divergence_rule():
     op = make_iid_gaussian(5, 9, 1)
     y = np.random.default_rng(6).normal(size=5)
+    config = SolverConfig(max_iters=10, tol=0.0)
     for exc in (ValueError, FloatingPointError):
         calls = []
 
@@ -665,15 +649,15 @@ def test_amp_loop_divergence_rule():
             return rho * 0.5, 0.1
 
         with pytest.raises(DivergenceError, match="at iteration 3$"):
-            amp_loop(op, y, rejecting, 10, 0.0, 1.0)
+            amp_loop(op, y, rejecting, config)
     for bad in (np.nan, np.inf):
         # a non-finite estimate, then a finite estimate with a non-finite Onsager term
         mu = np.zeros(9)
         mu[4] = bad
         with pytest.raises(DivergenceError, match="at iteration 1$"):
-            amp_loop(op, y, _Recorder(mu), 10, 0.0, 1.0)
+            amp_loop(op, y, _Recorder(mu), config)
         with pytest.raises(DivergenceError, match="at iteration 1$"):
-            amp_loop(op, y, _Recorder(np.zeros(9), onsager=bad), 10, 0.0, 1.0)
+            amp_loop(op, y, _Recorder(np.zeros(9), onsager=bad), config)
 
 
 def _outcome(run):
@@ -699,22 +683,21 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
         x = generate(spec, k)
         for delta, truth, target in ((0.0, x, 1e-8), (1e-4, x, None), (1e-4, None, None)):
             y = measure(op, x, delta, 60 + case)
+            config = SolverConfig(max_iters=60)
             runs = [
-                (PriorParams(k / (n - 1), 1.0, delta), SolverConfig(max_iters=60)),
-                (default_em_params(op, y, delta), SolverConfig(max_iters=60, em_enabled=True)),
-                (
-                    default_em_params(op, y, delta),
-                    SolverConfig(max_iters=60, em_enabled=True, theta_mode="residual_norm"),
-                ),
+                (PriorParams(k / (n - 1), 1.0, delta), False),
+                (default_em_params(op, y, delta), True),
             ]
-            for params, config in runs:
-                got = _outcome(lambda: solve(op, y, params, config, truth, target))
-                want = _outcome(lambda: solve_reference(op, y, params, config, truth, target))
-                assert got == want, (case, delta, config)
+            for params, em in runs:
+                got = _outcome(lambda: solve(op, y, params, config, truth, target, em))
+                want = _outcome(
+                    lambda: solve_reference(op, y, params, config, truth, target, em)
+                )
+                assert got == want, (case, delta, em)
                 outcomes.append(got)
-            tv = TvampConfig(lam=1.0, max_iters=60, damping_beta=0.7 if case else 1.0)
-            got = _outcome(lambda: tvamp_solve(op, y, tv, truth, target))
-            assert got == _outcome(lambda: tvamp_solve_reference(op, y, tv, truth, target))
+            tv = SolverConfig(max_iters=60, damping_beta=0.7 if case else 1.0)
+            got = _outcome(lambda: tvamp_solve(op, y, 1.0, tv, truth, target))
+            assert got == _outcome(lambda: tvamp_solve_reference(op, y, 1.0, tv, truth, target))
             outcomes.append(got)
     assert all(not isinstance(o, str) for o in outcomes)
     assert any(o[2] for o in outcomes) and any(not o[2] for o in outcomes)
@@ -730,11 +713,11 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
     spec = SignalSpec(n=128, model="gaussian_pwc", sigma0=1.0, seed=1000)
     tv_x = generate(spec, 6)
     tv_y = measure(tv_op, tv_x, 0.0, 0)
-    tv = TvampConfig(lam=0.05, max_iters=3000, tol=0.0)
+    tv = SolverConfig(max_iters=3000, tol=0.0)
     with np.errstate(all="ignore"):
         got = _outcome(lambda: solve(op, y, params, config, x))
         assert got == _outcome(lambda: solve_reference(op, y, params, config, x))
-        tv_got = _outcome(lambda: tvamp_solve(tv_op, tv_y, tv, tv_x))
-        assert tv_got == _outcome(lambda: tvamp_solve_reference(tv_op, tv_y, tv, tv_x))
+        tv_got = _outcome(lambda: tvamp_solve(tv_op, tv_y, 0.05, tv, tv_x))
+        assert tv_got == _outcome(lambda: tvamp_solve_reference(tv_op, tv_y, 0.05, tv, tv_x))
     assert got == "solver state diverged at iteration 550"
     assert tv_got.startswith("solver state diverged at iteration ")

@@ -11,23 +11,24 @@ from oracles import (
 import ssamp.tvamp
 from ssamp.operators import make_iid_gaussian
 from ssamp.signals import SignalSpec, generate, measure, nmse
-from ssamp.solver import DivergenceError
-from ssamp.tvamp import SEGMENT_TOL, TvampConfig, tv_divergence, tv_prox, tvamp_solve
+from ssamp.solver import DivergenceError, SolverConfig
+from ssamp.tvamp import SEGMENT_TOL, tv_divergence, tv_prox, tvamp_solve
 
 
 def test_config_validation():
+    op = make_iid_gaussian(10, 20, 0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam"):
+            tvamp_solve(op, np.zeros(10), lam)
+    # the loop settings are the shared SolverConfig, checked when it is built
     with pytest.raises(ValueError):
-        TvampConfig(lam=0.0)
+        SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
-        TvampConfig(lam=-1.0)
+        SolverConfig(tol=-1e-3)
     with pytest.raises(ValueError):
-        TvampConfig(lam=1.0, max_iters=0)
+        SolverConfig(damping_beta=0.0)
     with pytest.raises(ValueError):
-        TvampConfig(lam=1.0, tol=-1e-3)
-    with pytest.raises(ValueError):
-        TvampConfig(lam=1.0, damping_beta=0.0)
-    with pytest.raises(ValueError):
-        TvampConfig(lam=1.0, damping_beta=1.0001)
+        SolverConfig(damping_beta=1.0001)
 
 
 # ---------------------------------------------------------------- tv_prox
@@ -190,7 +191,7 @@ def test_divergence_matches_finite_difference_trace():
 
 def test_zero_measurements_zero_estimate():
     op = make_iid_gaussian(10, 20, 0)
-    rep = tvamp_solve(op, np.zeros(10), TvampConfig(lam=1.0))
+    rep = tvamp_solve(op, np.zeros(10), 1.0)
     assert rep.iters_run == 1
     assert rep.converged
     np.testing.assert_array_equal(rep.estimate, np.zeros(20))
@@ -200,7 +201,7 @@ def test_first_iteration_composes_prox_and_residual():
     op = make_iid_gaussian(30, 60, 1)
     y = np.random.default_rng(2).normal(size=30)
     lam = 0.9
-    rep = tvamp_solve(op, y, TvampConfig(lam=lam, max_iters=1, tol=0.0))
+    rep = tvamp_solve(op, y, lam, SolverConfig(max_iters=1, tol=0.0))
     theta = np.sum(y**2) / 30
     mu1 = tv_prox(op.adjoint(y), lam * np.sqrt(theta))
     np.testing.assert_array_equal(rep.estimate, mu1)
@@ -217,7 +218,7 @@ def test_solve_calls_prox_through_module_name(monkeypatch):
     monkeypatch.setattr(ssamp.tvamp, "tv_prox", counting)
     op = make_iid_gaussian(30, 60, 1)
     y = np.random.default_rng(2).normal(size=30)
-    rep = tvamp_solve(op, y, TvampConfig(lam=0.9, max_iters=7, tol=0.0))
+    rep = tvamp_solve(op, y, 0.9, SolverConfig(max_iters=7, tol=0.0))
     assert rep.iters_run == 7
     assert len(calls) == rep.iters_run
 
@@ -225,12 +226,12 @@ def test_solve_calls_prox_through_module_name(monkeypatch):
 def test_solve_validates_shape():
     op = make_iid_gaussian(10, 20, 0)
     with pytest.raises(ValueError):
-        tvamp_solve(op, np.zeros(11), TvampConfig(lam=1.0))
+        tvamp_solve(op, np.zeros(11), 1.0)
     for bad in (np.nan, -np.inf):
         y = np.zeros(10)
         y[0] = bad
         with pytest.raises(ValueError, match="finite"):
-            tvamp_solve(op, y, TvampConfig(lam=1.0))
+            tvamp_solve(op, y, 1.0)
 
 
 def test_easy_point_recovery():
@@ -241,7 +242,7 @@ def test_easy_point_recovery():
         spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1000 + seed)
         x = generate(spec, k)
         y = measure(op, x, 0.0, 0)
-        rep = tvamp_solve(op, y, TvampConfig(lam=1.0, max_iters=100), truth=x)
+        rep = tvamp_solve(op, y, 1.0, SolverConfig(max_iters=100), truth=x)
         ok += nmse(x, rep.estimate) <= 1e-4
     assert ok >= 15
 
@@ -256,7 +257,7 @@ def test_divergence_raises():
     y = measure(op, x, 0.0, 0)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
-            tvamp_solve(op, y, TvampConfig(lam=0.05, max_iters=2000, tol=0.0))
+            tvamp_solve(op, y, 0.05, SolverConfig(max_iters=2000, tol=0.0))
 
 
 def test_trace_shape_and_target_stop():
@@ -264,7 +265,7 @@ def test_trace_shape_and_target_stop():
     spec = SignalSpec(n=120, model="gaussian_pwc", sigma0=1.0, seed=5)
     x = generate(spec, 6)
     y = measure(op, x, 0.0, 0)
-    rep = tvamp_solve(op, y, TvampConfig(lam=1.0, max_iters=100), truth=x, target_nmse=1e-3)
+    rep = tvamp_solve(op, y, 1.0, SolverConfig(max_iters=100), truth=x, target_nmse=1e-3)
     assert rep.converged
     assert rep.nmse_trace.shape == (rep.iters_run,)
     assert rep.nmse_trace[-1] <= 1e-3
