@@ -78,6 +78,7 @@ class ExperimentConfig:
     seeds EM when the EM solver is chosen.  ``beta`` unset damps by the
     operator's default_beta, for every solver.  The two fast transforms,
     ``subsampled_dct`` and ``subsampled_wht``, need ``sign_randomize``.
+    ``band`` unset gives ``quasi_toeplitz`` rows the full band n.
     Construction rejects settings no run can use, and builds
     ``solver_config``, the ``SolverConfig`` each trial hands its solver.
     """
@@ -132,6 +133,10 @@ class ExperimentConfig:
             raise ValueError("q must lie in [0, 1]")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
+        if self.band is not None and not 1 <= self.band <= self.n:
+            raise ValueError("band must be None (full band) or lie in [1, n]")
+        if not self.col_weight >= 1:
+            raise ValueError("col_weight must be at least 1")
         object.__setattr__(
             self, "solver_config", SolverConfig(self.max_iters, self.tol, self.beta)
         )
@@ -202,7 +207,7 @@ def build_operator(config: ExperimentConfig, m: int, seed: int, sign_seed: int) 
     elif config.matrix == "subsampled_wht":
         op = make_subsampled_wht(m, n, seed)
     elif config.matrix == "quasi_toeplitz":
-        op = make_quasi_toeplitz(m, n, config.band if config.band else n, seed)
+        op = make_quasi_toeplitz(m, n, n if config.band is None else config.band, seed)
     else:
         op = make_sparse_bernoulli(m, n, config.col_weight, seed)
     if config.sign_randomize:

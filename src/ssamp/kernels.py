@@ -8,8 +8,9 @@ posterior is a mixture of two or four Gaussians, written out in closed form
 and normalized by a max-shift of the log weights, so |rho| up to 1e6 and
 variances from 1e-12 to 1e12 never overflow.  Fused means are weighted
 averages and variances use centered component means, which avoids
-cancellation at large means.  Inputs may be scalars or arrays of a common
-shape; outputs carry that shape.
+cancellation at large means.  rho and the message means and variances may
+be scalars or arrays of a common shape, and outputs carry that shape; theta,
+q and s0 are shared along the chain and must be scalars.
 """
 
 from __future__ import annotations
@@ -38,39 +39,38 @@ def _maybe_scalar(a: np.ndarray):
 
 def _floor_variance(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if not np.all(v >= 0.0):
+    if not (v >= 0.0).all():
         raise ValueError("variance must be nonnegative and not NaN")
     return np.maximum(v, VARIANCE_FLOOR)
 
 
-def _positive(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if not np.all(v > 0.0):
-        raise ValueError(f"{name} must be positive")
-    return v
-
-
 def log_gauss(x: ArrayLike, mean: ArrayLike, variance: ArrayLike) -> ArrayLike:
     """Log density of N(x; mean, variance).  Variance must be positive."""
-    v = _positive(variance, "variance")
+    v = np.asarray(variance, dtype=float)
+    if not (v > 0.0).all():
+        raise ValueError("variance must be positive")
     x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
     out = -0.5 * (_LOG_2PI + np.log(v) + (x - mean) ** 2 / v)
     return _maybe_scalar(out)
 
 
-def _prior(theta, q, s0):
-    """Checked theta (floored), s0, and the log spike and slab weights."""
-    theta = np.maximum(_positive(theta, "channel variance theta"), VARIANCE_FLOOR)
-    s0 = _positive(s0, "slab variance s0")
-    q = np.asarray(q, dtype=float)
-    if not np.all((q >= 0.0) & (q <= 1.0)):
+def _prior(theta: float, q: float, s0: float):
+    """Checked theta (floored), s0, and the log spike and slab weights;
+    float() makes an array theta, q or s0 a TypeError."""
+    theta, q, s0 = float(theta), float(q), float(s0)
+    if not theta > 0.0:
+        raise ValueError("channel variance theta must be positive")
+    if not s0 > 0.0:
+        raise ValueError("slab variance s0 must be positive")
+    if not 0.0 <= q <= 1.0:
         raise ValueError("jump probability q must lie in [0, 1]")
+    # numpy's log, not math.log, which may round the last bit differently
     with np.errstate(divide="ignore"):
-        return theta, s0, np.log(1.0 - q), np.log1p(q - 1.0)
+        return max(theta, VARIANCE_FLOOR), s0, np.log(1.0 - q), np.log1p(q - 1.0)
 
 
-def phi_zeta(rho: ArrayLike, theta: ArrayLike, msg, q: ArrayLike, s0: ArrayLike):
+def phi_zeta(rho: ArrayLike, theta: float, msg, q: float, s0: float):
     """Posterior mean and variance given a single directional (mean, var) message.
 
     The spike and slab components have means m0, m1 (m1 - m0 = dm, formed
@@ -94,7 +94,7 @@ def phi_zeta(rho: ArrayLike, theta: ArrayLike, msg, q: ArrayLike, s0: ArrayLike)
     return _maybe_scalar(p0 * m0 + p1 * m1), _maybe_scalar(out_var)
 
 
-def eta_gamma(rho: ArrayLike, theta: ArrayLike, r2p, l2p, q: ArrayLike, s0: ArrayLike):
+def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     """Posterior mean and variance of a coordinate given both (mean, var) messages.
 
     Each of the four (r2p, l2p) spike/slab pairs fuses the channel with its

@@ -12,14 +12,13 @@ Five ensembles behind one apply/adjoint interface:
 All ensembles keep expected column squared norms at one.  Construction is
 deterministic in (shape, seed); apply/adjoint are exact adjoints of each
 other.  ``column_sign_randomize`` wraps any operator with a random +-1
-diagonal on the input side.
+diagonal on the input side.  scipy is imported by the two ensembles that
+use it, when one is built, so the others run on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-import scipy.sparse
 
 __all__ = [
     "LinearOperator",
@@ -86,20 +85,23 @@ class _DenseOperator(LinearOperator):
 
 class _SubsampledDct(LinearOperator):
     def __init__(self, m, n, seed):
+        from scipy.fft import dct, idct
+
         super().__init__(m, n, "subsampled_dct")
+        self._dct, self._idct = dct, idct
         rng = np.random.default_rng(seed)
         self.rows = np.sort(rng.choice(n, size=m, replace=False))
         self.scale = np.sqrt(n / m)
 
     def apply(self, x):
         x = self._check_vec(x, self.n, "x")
-        return self.scale * scipy.fft.dct(x, type=2, norm="ortho")[self.rows]
+        return self.scale * self._dct(x, type=2, norm="ortho")[self.rows]
 
     def adjoint(self, r):
         r = self._check_vec(r, self.m, "r")
         full = np.zeros(self.n)
         full[self.rows] = r
-        return self.scale * scipy.fft.idct(full, type=2, norm="ortho")
+        return self.scale * self._idct(full, type=2, norm="ortho")
 
 
 def _fwht(x: np.ndarray) -> np.ndarray:
@@ -173,6 +175,8 @@ class _QuasiToeplitz(LinearOperator):
 
 class _SparseBernoulli(LinearOperator):
     def __init__(self, m, n, col_weight, seed):
+        import scipy.sparse
+
         if not 1 <= col_weight <= m:
             raise ValueError("col_weight must satisfy 1 <= col_weight <= m")
         super().__init__(m, n, "sparse_bernoulli")

@@ -28,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
 
 from .kernels import eta_gamma, log_gauss, phi_zeta
 from .operators import LinearOperator
-from .signals import nmse as _nmse
 
 __all__ = [
     "PriorParams",
@@ -171,6 +169,8 @@ def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
     probability per difference, the posterior jump mean per difference,
     and the shared posterior jump variance.
     """
+    import scipy.special  # loaded by the first EM refresh, not with the package
+
     s = np.diff(np.asarray(rho, dtype=float))
     q, s0 = params.q, params.sigma0_sq
     log_ratio = (
@@ -235,11 +235,16 @@ def amp_loop(
     y = np.asarray(y, dtype=float)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},)")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("y must be finite")
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (op.n,):
+            raise ValueError(f"truth must have shape ({op.n},)")
+        truth_sq = float(np.sum(truth**2))  # signals.nmse's denominator, once per solve
+    trace = None if truth is None else []
     mu = np.zeros(op.n)
     r = y.copy()
-    trace = [] if truth is not None else None
     converged = False
     for t in range(1, config.max_iters + 1):
         rho = op.adjoint(r) + mu
@@ -249,14 +254,15 @@ def amp_loop(
             # overflow inside an iteration surfaces as a rejected denoiser input
             raise DivergenceError(f"solver state diverged at iteration {t}") from exc
         r = update_residual(op, y, mu_new, r, onsager, beta)
-        if not (np.all(np.isfinite(mu_new)) and np.all(np.isfinite(r))):
+        if not (np.isfinite(mu_new).all() and np.isfinite(r).all()):
             raise DivergenceError(f"solver state diverged at iteration {t}")
         step = float(np.sum((mu_new - mu) ** 2))
         base = float(np.sum(mu**2))
         rel = step / base if base > 0.0 else float(np.sum(mu_new**2))
         mu = mu_new
         if trace is not None:
-            trace.append(_nmse(truth, mu))
+            err = float(np.sum((truth - mu) ** 2))
+            trace.append(err if truth_sq == 0.0 else err / truth_sq)
             if target_nmse is not None and trace[-1] <= target_nmse:
                 converged = True
                 break

@@ -110,6 +110,15 @@ def test_config_rejects_bad_solver_settings():
     assert dataclasses.replace(cfg, tol=1e-9).solver_config.tol == 1e-9
 
 
+def test_config_rejects_bad_operator_settings():
+    # band=0 used to run full-band rows, and the others failed only when a
+    # trial built its operator
+    for fields in ({"band": 0}, {"band": -3}, {"band": 65}, {"col_weight": 0}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(matrix="quasi_toeplitz", n=64, **fields)
+    assert ExperimentConfig(matrix="quasi_toeplitz", n=64, band=64).band == 64
+
+
 def test_config_rejects_unsigned_fast_transforms():
     # without column signs AMP fails every trial on these; say so up front
     for kind in ("subsampled_dct", "subsampled_wht"):

@@ -281,15 +281,17 @@ def _log_uniform(rng, lo, hi, n):
 def test_closed_forms_agree_with_log_sum_exp_reference():
     """The closed-form kernels against the frozen log-sum-exp ones.
 
-    10,000 draws: q uniform or one of 0, 1, 1e-8, 1 - 1e-8; a fifth of the
-    message variances zero; theta, s0 and the other variances log-uniform
-    in [1e-12, 1e12]; rho and message means up to 1e6 in magnitude.  With
-    S the largest |rho| or |message mean| of a draw, the two agree to
-    rel 1e-11 plus an absolute floor of 1e-12 S on the mean and
-    1e-12 S sqrt(var) on the variance.  Where they do not, the reference
-    has lost its normalization: log-sum-exp rounds log Z at the size of the
-    log weights, which reach 1e21 here.  There the closed form must be
-    within that tolerance of 40-digit arithmetic and the reference not.
+    10,000 draws, each a kernel call with scalar theta, q and s0 (the
+    reference runs on all draws at once): q uniform or one of 0, 1, 1e-8,
+    1 - 1e-8; a fifth of the message variances zero; theta, s0 and the
+    other variances log-uniform in [1e-12, 1e12]; rho and message means up
+    to 1e6 in magnitude.  With S the largest |rho| or |message mean| of a
+    draw, the two agree to rel 1e-11 plus an absolute floor of 1e-12 S on
+    the mean and 1e-12 S sqrt(var) on the variance.  Where they do not, the
+    reference has lost its normalization: log-sum-exp rounds log Z at the
+    size of the log weights, which reach 1e21 here.  There the closed form
+    must be within that tolerance of 40-digit arithmetic and the reference
+    not.
     """
     rng = np.random.default_rng(2024)
     n = 10_000
@@ -313,9 +315,14 @@ def test_closed_forms_agree_with_log_sum_exp_reference():
         (phi_zeta, phi_zeta_reference, (rho, theta, r2p, q, s0), (r2p,)),
         (eta_gamma, eta_gamma_reference, (rho, theta, r2p, l2p, q, s0), (r2p, l2p)),
     )
+
+    def draw(args, i):
+        """Draw i of the arrays in args, messages as (mean, var) pairs."""
+        return [tuple(a[i] for a in arg) if isinstance(arg, tuple) else arg[i] for arg in args]
+
     for kernel, reference, args, msgs in cases:
         scale = np.max(np.abs([rho, *(m for m, _ in msgs)]), axis=0)
-        new_mean, new_var = kernel(*args)
+        new_mean, new_var = np.array([kernel(*draw(args, i)) for i in range(n)]).T
         ref_mean, ref_var = reference(*args)
 
         def within(mean, var, mean_to, var_to, i=slice(None)):
@@ -331,3 +338,7 @@ def test_closed_forms_agree_with_log_sum_exp_reference():
             )
             assert within(new_mean[i], new_var[i], *exact, i), (kernel.__name__, i)
             assert not within(ref_mean[i], ref_var[i], *exact, i), (kernel.__name__, i)
+    # theta, q and s0 must be scalars: the all-draws call is a TypeError
+    for kernel, _, args, _ in cases:
+        with pytest.raises(TypeError):
+            kernel(*args)

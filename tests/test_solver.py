@@ -681,7 +681,9 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
     for case, op in enumerate(ops):
         spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=50 + case)
         x = generate(spec, k)
-        for delta, truth, target in ((0.0, x, 1e-8), (1e-4, x, None), (1e-4, None, None)):
+        # a zero truth makes the trace the plain squared norm of the estimate
+        inputs = ((0.0, x, 1e-8), (1e-4, x, None), (1e-4, None, None), (1e-4, np.zeros(n), None))
+        for delta, truth, target in inputs:
             y = measure(op, x, delta, 60 + case)
             config = SolverConfig(max_iters=60)
             runs = [
