@@ -72,6 +72,8 @@ def _load_config(args) -> ExperimentConfig:
         if value is not None:
             data[key] = value
     if args.em:
+        if args.solver not in (None, "ssamp_em"):
+            raise ValueError(f"--em means --solver ssamp_em; it conflicts with --solver {args.solver}")
         data["solver"] = "ssamp_em"
     return ExperimentConfig.from_dict(data)
 

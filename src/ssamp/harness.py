@@ -16,6 +16,7 @@ matching grid cell.  Grid outputs are byte-identical across repeats.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -104,6 +105,13 @@ class ExperimentConfig:
     sign_randomize: bool = False
 
     def __post_init__(self):
+        for name in ("n", "trials", "seed_base", "max_iters", "band", "col_weight"):
+            value = getattr(self, name)
+            # a JSON 64.0 or 2e2 is a float; bool is an int subclass
+            if not (value is None and name == "band") and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         object.__setattr__(self, "grid_m_over_n", tuple(self.grid_m_over_n))
         object.__setattr__(self, "grid_k_over_m", tuple(self.grid_k_over_m))
         if self.solver not in SOLVERS:

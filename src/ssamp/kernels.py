@@ -37,11 +37,22 @@ def _maybe_scalar(a: np.ndarray):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _floor_variance(v) -> np.ndarray:
+def _floor_variance(v, out: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not (v >= 0.0).all():
         raise ValueError("variance must be nonnegative and not NaN")
-    return np.maximum(v, VARIANCE_FLOOR)
+    return np.maximum(v, VARIANCE_FLOOR, out=out)
+
+
+def _square(a: np.ndarray, scalar: bool) -> np.ndarray:
+    """a ** 2 in place, rounded as numpy rounds ``x ** 2``: an array is
+    multiplied by itself, a numpy or Python scalar goes through C pow,
+    which differs in the last bit on about 0.1% of inputs."""
+    if scalar:
+        a.flat = [x**2 for x in a.flat]
+    else:
+        np.multiply(a, a, out=a)
+    return a
 
 
 def log_gauss(x: ArrayLike, mean: ArrayLike, variance: ArrayLike) -> ArrayLike:
@@ -75,23 +86,65 @@ def phi_zeta(rho: ArrayLike, theta: float, msg, q: float, s0: float):
 
     The spike and slab components have means m0, m1 (m1 - m0 = dm, formed
     as a product) and weights p0 = 1 - p1, p1 (a logistic of the log-odds).
+    Intermediates live in one work block the call allocates and are updated
+    in place, with every operation's operands grouped as in the plain
+    expressions (kept in the tests as phi_zeta_closed_form), so the outputs
+    round the same.  No input is written.
     """
     theta, s0, log_spike, log_slab = _prior(theta, q, s0)
-    mean, var = msg[0], _floor_variance(msg[1])
-    var_slab = var + s0
-    d = rho - mean
-    inv_a0, inv_a1 = 1.0 / (theta + var), 1.0 / (theta + var_slab)
-    g = s0 * inv_a0 * inv_a1
-    m0 = (rho * var + mean * theta) * inv_a0
-    m1 = (rho * var_slab + mean * theta) * inv_a1
-    dm = theta * g * d
+    mean = msg[0]
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(mean), np.shape(msg[1]))
+    size = shape or (1,)
+    # var and m0 become the outputs; the rest lives in one work block
+    var, m0 = _floor_variance(msg[1], np.empty(size)), np.empty(size)
+    var_slab, d, inv_a0, inv_a1, g, dm, m1, odds_slab = np.empty((8,) + size)
+    np.add(var, s0, out=var_slab)
+    np.subtract(rho, mean, out=d)
+    np.add(var, theta, out=inv_a0)
+    np.divide(1.0, inv_a0, out=inv_a0)
+    np.add(var_slab, theta, out=inv_a1)
+    np.divide(1.0, inv_a1, out=inv_a1)
+    np.multiply(inv_a0, s0, out=g)
+    g *= inv_a1
+    # m_k = (rho var_k + mean theta) / a_k, with a_k = theta + var_k
+    mean_theta = np.multiply(mean, theta, out=dm)
+    np.multiply(rho, var, out=m0)
+    m0 += mean_theta
+    m0 *= inv_a0
+    np.multiply(rho, var_slab, out=m1)
+    m1 += mean_theta
+    m1 *= inv_a1
+    np.multiply(g, theta, out=dm)
+    dm *= d
     # the slab's log-odds, capped at 700 so that exp cannot overflow
-    log_odds = log_slab - log_spike + 0.5 * (np.log(inv_a1 / inv_a0) + g * d * d)
-    odds_slab = np.exp(np.minimum(log_odds, 700.0))
-    p0 = 1.0 / (1.0 + odds_slab)
-    p1 = odds_slab * p0
-    out_var = theta * (p0 * var * inv_a0 + p1 * var_slab * inv_a1) + p0 * p1 * dm * dm
-    return _maybe_scalar(p0 * m0 + p1 * m1), _maybe_scalar(out_var)
+    np.divide(inv_a1, inv_a0, out=odds_slab)
+    np.log(odds_slab, out=odds_slab)
+    g *= d
+    g *= d
+    odds_slab += g
+    odds_slab *= 0.5
+    odds_slab += log_slab - log_spike
+    np.minimum(odds_slab, 700.0, out=odds_slab)
+    np.exp(odds_slab, out=odds_slab)
+    p0 = np.add(odds_slab, 1.0, out=d)
+    np.divide(1.0, p0, out=p0)
+    p1 = odds_slab
+    p1 *= p0
+    # out_var = theta (p0 var / a0 + p1 var_slab / a1) + p0 p1 dm^2
+    var *= p0
+    var *= inv_a0
+    var_slab *= p1
+    var_slab *= inv_a1
+    var += var_slab
+    var *= theta
+    jump = np.multiply(p0, p1, out=g)
+    jump *= dm
+    jump *= dm
+    var += jump
+    m0 *= p0
+    m1 *= p1
+    m0 += m1
+    return _maybe_scalar(m0.reshape(shape)), _maybe_scalar(var.reshape(shape))
 
 
 def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
@@ -100,27 +153,88 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     Each of the four (r2p, l2p) spike/slab pairs fuses the channel with its
     r2p component, then (that variance clamped to VARIANCE_FLOOR) with its
     l2p component, and adds both log evidences, less the 2 pi terms all
-    four share, to its log weight.
+    four share, to its log weight.  The spike and slab rows are stacked:
+    the r2p fusion runs on (2, n) arrays, the l2p fusion on (2, 2, n)
+    ones, ordered (r2p component, l2p component).  As in ``phi_zeta``,
+    intermediates live in one work block updated in place, rounded as the
+    plain expressions (eta_gamma_closed_form in the tests), and no input is
+    written; r_mean theta, l_var + s0 and l_mean v1, which those
+    expressions repeat, are formed once.
     """
     theta, s0, log_spike, log_slab = _prior(theta, q, s0)
     (r_mean, r_var), (l_mean, l_var) = r2p, l2p
-    r_var, l_var = _floor_variance(r_var), _floor_variance(l_var)
-    half_d2 = 0.5 * (rho - r_mean) ** 2
-    means, variances, log_weights = [], [], []
-    for r_log_w, vr in ((log_spike, r_var), (log_slab, r_var + s0)):
-        inv_a = 1.0 / (theta + vr)
-        m1 = (rho * vr + r_mean * theta) * inv_a
-        v1 = np.maximum(theta * vr * inv_a, VARIANCE_FLOOR)
-        lw1 = r_log_w + 0.5 * np.log(inv_a) - half_d2 * inv_a
-        half_e2 = 0.5 * (m1 - l_mean) ** 2
-        for l_log_w, vl in ((log_spike, l_var), (log_slab, l_var + s0)):
-            inv_b = 1.0 / (v1 + vl)
-            means.append((m1 * vl + l_mean * v1) * inv_b)
-            variances.append(v1 * vl * inv_b)
-            log_weights.append(lw1 + l_log_w + 0.5 * np.log(inv_b) - half_e2 * inv_b)
-    shift = np.maximum(np.maximum(*log_weights[:2]), np.maximum(*log_weights[2:]))
-    weights = [np.exp(lw - shift) for lw in log_weights]
-    total = sum(weights)
-    mean = sum(w * m for w, m in zip(weights, means)) / total
-    spreads = (w * (v + (m - mean) ** 2) for w, m, v in zip(weights, means, variances))
-    return _maybe_scalar(mean), _maybe_scalar(sum(spreads) / total)
+    shape = np.broadcast_shapes(*map(np.shape, (rho, r_mean, r_var, l_mean, l_var)))
+    scalar = not shape
+    size = shape or (1,)
+    work = np.empty((28,) + size)
+    vr, vl, inv_a, m1, lw1 = (work[i : i + 2] for i in range(0, 10, 2))
+    half_d2, r_theta = work[10], work[11]
+    inv_b, log_weights, means, variances = (
+        work[i : i + 4].reshape((2, 2) + size) for i in range(12, 28, 4)
+    )
+    _floor_variance(r_var, vr[0])
+    _floor_variance(l_var, vl[0])
+    np.add(vr[0], s0, out=vr[1])
+    np.add(vl[0], s0, out=vl[1])
+    log_w = np.array([log_spike, log_slab]).reshape((2,) + (1,) * len(size))
+    _square(np.subtract(rho, r_mean, out=half_d2), scalar)
+    half_d2 *= 0.5
+    np.multiply(r_mean, theta, out=r_theta)
+    # channel with the r2p components: rows spike, slab
+    np.add(vr, theta, out=inv_a)
+    np.divide(1.0, inv_a, out=inv_a)
+    np.multiply(rho, vr, out=m1)
+    m1 += r_theta
+    m1 *= inv_a
+    v1 = vr
+    v1 *= theta
+    v1 *= inv_a
+    np.maximum(v1, VARIANCE_FLOOR, out=v1)
+    np.log(inv_a, out=lw1)
+    lw1 *= 0.5
+    lw1 += log_w
+    inv_a *= half_d2
+    lw1 -= inv_a
+    half_e2 = _square(np.subtract(m1, l_mean, out=inv_a), scalar)
+    half_e2 *= 0.5
+    # then with the l2p components: [i, j] fuses r2p row i with l2p row j
+    v1, lw1, half_e2 = v1[:, None], lw1[:, None], half_e2[:, None]
+    np.add(v1, vl, out=inv_b)
+    np.divide(1.0, inv_b, out=inv_b)
+    np.add(lw1, log_w, out=log_weights)
+    np.log(inv_b, out=means)
+    means *= 0.5
+    log_weights += means
+    np.multiply(m1[:, None], vl, out=means)
+    means += np.multiply(l_mean, v1, out=lw1)
+    means *= inv_b
+    np.multiply(v1, vl, out=variances)
+    variances *= inv_b
+    inv_b *= half_e2
+    log_weights -= inv_b
+    weights, means, variances, products = (
+        a.reshape((4,) + size) for a in (log_weights, means, variances, inv_b)
+    )
+    shift = np.maximum(weights[0], weights[1], out=half_d2)
+    np.maximum(shift, np.maximum(weights[2], weights[3], out=r_theta), out=shift)
+    weights -= shift
+    np.exp(weights, out=weights)
+    total = np.add(weights[0], weights[1], out=r_theta)
+    total += weights[2]
+    total += weights[3]
+    # the closed form's sum() starts from 0, which turns an all -0.0 sum into +0.0
+    np.multiply(weights, means, out=products)
+    mean = products[0] + 0.0
+    mean += products[1]
+    mean += products[2]
+    mean += products[3]
+    mean /= total
+    means -= mean
+    spreads = variances
+    spreads += _square(means, scalar)
+    spreads *= weights
+    var = spreads[0] + spreads[1]
+    var += spreads[2]
+    var += spreads[3]
+    var /= total
+    return _maybe_scalar(mean.reshape(shape)), _maybe_scalar(var.reshape(shape))

@@ -25,6 +25,7 @@ at mean zero and the slab variance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,6 +97,8 @@ class SolverConfig:
     damping_beta: float | None = None  # None: the operator's default_beta
 
     def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, not {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol >= 0.0:  # rejects NaN too

@@ -7,7 +7,9 @@ arithmetic, and the TV prox from an iterative dual solver.  Dense matrices
 are read off an operator's ``apply`` one column at a time.  The exceptions
 are frozen copies kept to check rewrites: byte for byte,
 ``tv_prox_sweep_reference``, the taut-string sweep indexing numpy arrays,
-and ``solve_reference``/``tvamp_solve_reference``, the two solvers' own
+``phi_zeta_closed_form``/``eta_gamma_closed_form``, the chain kernels
+written as one allocating expression per quantity, with their input
+checks, and ``solve_reference``/``tvamp_solve_reference``, the two solvers' own
 AMP loops from before they shared one, built from the package's public
 sub-steps; to a stated tolerance, ``phi_zeta_reference``/
 ``eta_gamma_reference``, the arithmetic of the chain kernels as pairwise
@@ -434,6 +436,80 @@ def eta_gamma_reference(rho, theta, r2p, l2p, q, s0):
             m2, v2, ev2 = _ref_fuse_pair(m1, v1, l_mean, l_var)
             components.append((m2, v2, r_log_w + l_log_w + ev1 + ev2))
     return _ref_moments(components)
+
+
+# ---------------------------------------------------------------------------
+# frozen closed-form chain kernels, written as expressions
+
+
+def _cf_maybe_scalar(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _cf_floor(v):
+    v = np.asarray(v, dtype=float)
+    if not (v >= 0.0).all():
+        raise ValueError("variance must be nonnegative and not NaN")
+    return np.maximum(v, _REF_FLOOR)
+
+
+def _cf_prior(theta, q, s0):
+    theta, q, s0 = float(theta), float(q), float(s0)
+    if not theta > 0.0:
+        raise ValueError("channel variance theta must be positive")
+    if not s0 > 0.0:
+        raise ValueError("slab variance s0 must be positive")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("jump probability q must lie in [0, 1]")
+    with np.errstate(divide="ignore"):
+        return max(theta, _REF_FLOOR), s0, np.log(1.0 - q), np.log1p(q - 1.0)
+
+
+def phi_zeta_closed_form(rho, theta, msg, q, s0):
+    """``ssamp.kernels.phi_zeta`` as one expression per quantity, each
+    array operation allocating its result."""
+    theta, s0, log_spike, log_slab = _cf_prior(theta, q, s0)
+    mean, var = msg[0], _cf_floor(msg[1])
+    var_slab = var + s0
+    d = rho - mean
+    inv_a0, inv_a1 = 1.0 / (theta + var), 1.0 / (theta + var_slab)
+    g = s0 * inv_a0 * inv_a1
+    m0 = (rho * var + mean * theta) * inv_a0
+    m1 = (rho * var_slab + mean * theta) * inv_a1
+    dm = theta * g * d
+    log_odds = log_slab - log_spike + 0.5 * (np.log(inv_a1 / inv_a0) + g * d * d)
+    odds_slab = np.exp(np.minimum(log_odds, 700.0))
+    p0 = 1.0 / (1.0 + odds_slab)
+    p1 = odds_slab * p0
+    out_var = theta * (p0 * var * inv_a0 + p1 * var_slab * inv_a1) + p0 * p1 * dm * dm
+    return _cf_maybe_scalar(p0 * m0 + p1 * m1), _cf_maybe_scalar(out_var)
+
+
+def eta_gamma_closed_form(rho, theta, r2p, l2p, q, s0):
+    """``ssamp.kernels.eta_gamma`` as one expression per quantity, each
+    array operation allocating its result."""
+    theta, s0, log_spike, log_slab = _cf_prior(theta, q, s0)
+    (r_mean, r_var), (l_mean, l_var) = r2p, l2p
+    r_var, l_var = _cf_floor(r_var), _cf_floor(l_var)
+    half_d2 = 0.5 * (rho - r_mean) ** 2
+    means, variances, log_weights = [], [], []
+    for r_log_w, vr in ((log_spike, r_var), (log_slab, r_var + s0)):
+        inv_a = 1.0 / (theta + vr)
+        m1 = (rho * vr + r_mean * theta) * inv_a
+        v1 = np.maximum(theta * vr * inv_a, _REF_FLOOR)
+        lw1 = r_log_w + 0.5 * np.log(inv_a) - half_d2 * inv_a
+        half_e2 = 0.5 * (m1 - l_mean) ** 2
+        for l_log_w, vl in ((log_spike, l_var), (log_slab, l_var + s0)):
+            inv_b = 1.0 / (v1 + vl)
+            means.append((m1 * vl + l_mean * v1) * inv_b)
+            variances.append(v1 * vl * inv_b)
+            log_weights.append(lw1 + l_log_w + 0.5 * np.log(inv_b) - half_e2 * inv_b)
+    shift = np.maximum(np.maximum(*log_weights[:2]), np.maximum(*log_weights[2:]))
+    weights = [np.exp(lw - shift) for lw in log_weights]
+    total = sum(weights)
+    mean = sum(w * m for w, m in zip(weights, means)) / total
+    spreads = (w * (v + (m - mean) ** 2) for w, m, v in zip(weights, means, variances))
+    return _cf_maybe_scalar(mean), _cf_maybe_scalar(sum(spreads) / total)
 
 
 # ---------------------------------------------------------------------------

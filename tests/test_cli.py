@@ -68,6 +68,17 @@ def test_em_flag_selects_em_solver(tmp_path):
     assert payload["nmse"] < 1e-4
 
 
+def test_em_flag_conflicts_with_other_solver(tmp_path, capsys):
+    # --em used to overwrite --solver tvamp and run ssamp_em silently
+    out = tmp_path / "r.json"
+    for solver in ("tvamp", "ssamp_oracle"):
+        assert main(["solve", "--n", "64", "--solver", solver, "--em", "--out", str(out)]) == 1
+        assert f"conflicts with --solver {solver}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["solve", "--n", "64", "--solver", "ssamp_em", "--em", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["solver"] == "ssamp_em"
+
+
 def test_tvamp_with_lambda_flag(tmp_path):
     out = tmp_path / "r.json"
     cfg = _write_config(
@@ -171,6 +182,23 @@ def test_unknown_config_key_errors(tmp_path, capsys):
     cfg = _write_config(tmp_path, n=64, bogus=True)
     assert main(["solve", cfg]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_non_integer_config_fields_error_before_any_run(tmp_path, capsys):
+    # these built an instance and then failed with "'float' object cannot be
+    # interpreted as an integer"
+    out = tmp_path / "x.json"
+    for command, fields, name in (
+        ("solve", {"n": 64, "max_iters": 2e2}, "max_iters"),
+        ("solve", {"n": 64.0}, "n"),
+        ("pt", {"n": 64, "grid_m_over_n": [0.5], "grid_k_over_m": [0.1], "trials": 2.0}, "trials"),
+    ):
+        cfg = _write_config(tmp_path, **fields)
+        assert main([command, cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {name} must be an integer" in err
+        assert f"{command}: " not in err  # rejected before any progress line
+    assert not out.exists()
 
 
 def test_infeasible_point_errors(tmp_path, capsys):

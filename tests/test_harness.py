@@ -119,6 +119,19 @@ def test_config_rejects_bad_operator_settings():
     assert ExperimentConfig(matrix="quasi_toeplitz", n=64, band=64).band == 64
 
 
+def test_config_rejects_non_integer_counts():
+    # JSON floats (64.0, 2e2) and bools got past construction and failed mid-run
+    for name in ("n", "trials", "seed_base", "max_iters", "band", "col_weight"):
+        for value in (64.0, 2e2, True, "64"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentConfig(matrix="quasi_toeplitz", **{"n": 256, name: value})
+    cfg = ExperimentConfig(n=np.int64(64), trials=3, seed_base=7, band=None, max_iters=5)
+    assert cfg.solver_config.max_iters == 5
+    for value in (5.0, False, None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=value)
+
+
 def test_config_rejects_unsigned_fast_transforms():
     # without column signs AMP fails every trial on these; say so up front
     for kind in ("subsampled_dct", "subsampled_wht"):

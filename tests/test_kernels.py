@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     central_difference,
+    eta_gamma_closed_form,
     eta_gamma_reference,
     mp_posterior_moments,
+    phi_zeta_closed_form,
     phi_zeta_reference,
     quad_posterior_moments,
 )
 from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, log_gauss, phi_zeta
-from ssamp.solver import PriorParams, denoise
+from ssamp.solver import ChainDenoiser, PriorParams, denoise
 
 # frozen quadrature values for the named cases (tests/oracles.py, rel_tol 1e-11);
 # a case is (rho, theta, message(s) as (mean, var), q, s0)
@@ -342,3 +344,135 @@ def test_closed_forms_agree_with_log_sum_exp_reference():
     for kernel, _, args, _ in cases:
         with pytest.raises(TypeError):
             kernel(*args)
+
+
+def _outcome(kernel, *args):
+    """A kernel call's outputs as (type, shape, bytes) per output, or the
+    type and message of the ValueError or TypeError it raised."""
+    try:
+        out = kernel(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return [(type(a), np.shape(a), np.asarray(a).tobytes()) for a in out]
+
+
+def _kernel_draw(rng, kind):
+    """One draw of kernel arguments: Python floats, 0-d arrays, arrays, or
+    negative-stride views of arrays, in one kind for the whole draw."""
+    size = 1 if kind in ("float", "0d") else int(rng.integers(1, 65))
+    step = -int(rng.integers(1, 3))  # of the reversed views
+    special_q = (0.0, 1.0, 1e-8, 1.0 - 1e-8)
+    q = rng.uniform() if rng.uniform() < 0.5 else special_q[rng.integers(0, 4)]
+    theta, s0 = _log_uniform(rng, 1e-12, 1e12, 2)
+
+    def coords(values):
+        if kind == "float":
+            return float(values[0])
+        if kind == "0d":
+            return np.asarray(values[0])
+        if kind == "reversed":
+            full = np.empty(size * -step)
+            full[::step] = values
+            return full[::step]
+        return values
+
+    def means():
+        return coords(rng.uniform(-1.0, 1.0, size) * _log_uniform(rng, 1e-6, 1e6, size))
+
+    def variances():
+        zero = rng.uniform(size=size) < 0.2
+        return coords(np.where(zero, 0.0, _log_uniform(rng, 1e-12, 1e12, size)))
+
+    rho = means()
+    r2p, l2p = (means(), variances()), (means(), variances())
+    return rho, float(theta), r2p, l2p, float(q), float(s0)
+
+
+def test_kernels_match_closed_form_byte_for_byte():
+    """The in-place kernels against their frozen one-expression forms.
+
+    4,000 draws, a quarter each of Python floats, 0-d arrays, arrays of 1
+    to 64 coordinates and negative-stride views (steps -1 and -2); q
+    uniform or one of 0, 1, 1e-8, 1 - 1e-8, a fifth of the message
+    variances zero, theta, s0 and the other variances log-uniform in
+    [1e-12, 1e12], and rho and the message means up to 1e6 in magnitude.
+    Output types, shapes and bytes must all agree.
+    """
+    rng = np.random.default_rng(1010)
+    kinds = ("float", "0d", "array", "reversed")
+    for i in range(4000):
+        rho, theta, r2p, l2p, q, s0 = _kernel_draw(rng, kinds[i % 4])
+        for kernel, frozen, args in (
+            (phi_zeta, phi_zeta_closed_form, (rho, theta, r2p, q, s0)),
+            (eta_gamma, eta_gamma_closed_form, (rho, theta, r2p, l2p, q, s0)),
+        ):
+            assert _outcome(kernel, *args) == _outcome(frozen, *args), (kernel.__name__, i)
+
+
+def test_kernels_reject_bad_inputs_as_closed_form():
+    """Negative or NaN variances, theta or s0 not positive, q outside [0, 1]
+    and array theta, q or s0 raise the same error as the frozen forms."""
+    rng = np.random.default_rng(11)
+    rho, theta, r2p, l2p, q, s0 = _kernel_draw(rng, "array")
+    n = rho.shape[0]
+    bad_var = np.full(n, 0.5)
+    bad_var[n // 2] = -1.0
+    nan_var = np.full(n, 0.5)
+    nan_var[-1] = np.nan
+    bad = []
+    for v in (-1.0, np.nan, bad_var, nan_var):
+        bad += [
+            (rho, theta, (r2p[0], v), l2p, q, s0),
+            (rho, theta, r2p, (l2p[0], v), q, s0),
+        ]
+    for t in (0.0, -1.0, np.nan, np.full(n, 0.5)):
+        bad.append((rho, t, r2p, l2p, q, s0))
+    for s in (0.0, -2.0, np.nan, np.full(n, 1.0)):
+        bad.append((rho, theta, r2p, l2p, q, s))
+    for p in (-0.1, 1.1, np.nan, np.full(n, 0.1)):
+        bad.append((rho, theta, r2p, l2p, p, s0))
+    for rho_, theta_, r2p_, l2p_, q_, s0_ in bad:
+        for kernel, frozen, args in (
+            (phi_zeta, phi_zeta_closed_form, (rho_, theta_, r2p_, q_, s0_)),
+            (eta_gamma, eta_gamma_closed_form, (rho_, theta_, r2p_, l2p_, q_, s0_)),
+        ):
+            got = _outcome(kernel, *args)
+            assert got == _outcome(frozen, *args)
+            # phi_zeta never reads l2p, so a bad l2p variance is no error there
+            if not (kernel is phi_zeta and l2p_ is not l2p):
+                assert got[0] in (ValueError, TypeError), (kernel.__name__, args)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def test_kernels_and_chain_step_leave_read_only_inputs_unchanged():
+    """Every input made read-only, reversed views included: the kernels and
+    a chain denoiser step (with and without EM) raise nothing and leave
+    every input byte as it was."""
+    rng = np.random.default_rng(12)
+    n = 64
+    rho, r_mean, r_var, l_mean, l_var = rng.normal(size=(5, n))
+    r_var, l_var = np.abs(r_var), np.abs(l_var)
+    inputs = [rho, r_mean, r_var, l_mean, l_var]
+    _read_only(*inputs)
+    views = [a[::-1] for a in inputs]
+    before = [a.tobytes() for a in inputs]
+    for rho_, rm, rv, lm, lv in (inputs, views):
+        phi_zeta(rho_, 0.3, (rm, rv), 0.1, 1.2)
+        eta_gamma(rho_, 0.3, (rm, rv), (lm, lv), 0.1, 1.2)
+    assert [a.tobytes() for a in inputs] == before
+
+    for em in (False, True):
+        denoiser = ChainDenoiser(n, n // 2, PriorParams(q=0.1, sigma0_sq=1.2), em)
+        residual = rng.normal(size=n // 2)
+        denoiser(rho, residual)  # the leftward messages are now reversed views
+        state = [denoiser.sigma_sq, *denoiser.r2p, *denoiser.l2p]
+        assert denoiser.l2p[0].strides[0] < 0
+        _read_only(residual, *state)
+        arrays = [rho, residual, *state]
+        before = [a.tobytes() for a in arrays]
+        denoiser(rho, residual)
+        assert [a.tobytes() for a in arrays] == before
