@@ -73,7 +73,9 @@ def _load_config(args) -> ExperimentConfig:
             data[key] = value
     if args.em:
         if args.solver not in (None, "ssamp_em"):
-            raise ValueError(f"--em means --solver ssamp_em; it conflicts with --solver {args.solver}")
+            raise ValueError(
+                f"--em means --solver ssamp_em; it conflicts with --solver {args.solver}"
+            )
         data["solver"] = "ssamp_em"
     return ExperimentConfig.from_dict(data)
 

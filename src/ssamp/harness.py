@@ -105,12 +105,13 @@ class ExperimentConfig:
     sign_randomize: bool = False
 
     def __post_init__(self):
-        for name in ("n", "trials", "seed_base", "max_iters", "band", "col_weight"):
+        # max_iters is checked by the SolverConfig built below
+        for name in ("n", "trials", "seed_base", "col_weight", "band"):
             value = getattr(self, name)
+            if name == "band" and value is None:
+                continue  # the full band
             # a JSON 64.0 or 2e2 is a float; bool is an int subclass
-            if not (value is None and name == "band") and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         object.__setattr__(self, "grid_m_over_n", tuple(self.grid_m_over_n))
         object.__setattr__(self, "grid_k_over_m", tuple(self.grid_k_over_m))

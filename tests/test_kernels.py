@@ -364,6 +364,8 @@ def _kernel_draw(rng, kind):
     special_q = (0.0, 1.0, 1e-8, 1.0 - 1e-8)
     q = rng.uniform() if rng.uniform() < 0.5 else special_q[rng.integers(0, 4)]
     theta, s0 = _log_uniform(rng, 1e-12, 1e12, 2)
+    # rho and means all +-0.0: where every mixture term is -0.0 the mean is +0.0
+    signed_zeros = rng.uniform() < 0.1
 
     def coords(values):
         if kind == "float":
@@ -377,6 +379,8 @@ def _kernel_draw(rng, kind):
         return values
 
     def means():
+        if signed_zeros:
+            return coords(np.where(rng.uniform(size=size) < 0.5, 0.0, -0.0))
         return coords(rng.uniform(-1.0, 1.0, size) * _log_uniform(rng, 1e-6, 1e6, size))
 
     def variances():
@@ -388,6 +392,27 @@ def _kernel_draw(rng, kind):
     return rho, float(theta), r2p, l2p, float(q), float(s0)
 
 
+# eta_gamma draws on which numpy's scalar square (C pow) and its array square
+# (a product) round differently, and the difference reaches an output
+POW_SQUARE_CASES = [
+    (
+        1.5153059275466447,
+        (-0.055995921206172056, 0.01844909529342838),
+        (1.0235762632117298, 728.9984494554208),
+    ),
+    (
+        -155.87015692538552,
+        (-0.03290031074939531, 124.71647464686257),
+        (-0.00012700317618273175, 4.014010613536737),
+    ),
+    (
+        -0.0021659593540530467,
+        (0.10738830415002039, 0.042050139027669214),
+        (0.6693591645092574, 0.04901928609337383),
+    ),
+]
+
+
 def test_kernels_match_closed_form_byte_for_byte():
     """The in-place kernels against their frozen one-expression forms.
 
@@ -395,8 +420,9 @@ def test_kernels_match_closed_form_byte_for_byte():
     to 64 coordinates and negative-stride views (steps -1 and -2); q
     uniform or one of 0, 1, 1e-8, 1 - 1e-8, a fifth of the message
     variances zero, theta, s0 and the other variances log-uniform in
-    [1e-12, 1e12], and rho and the message means up to 1e6 in magnitude.
-    Output types, shapes and bytes must all agree.
+    [1e-12, 1e12], and rho and the message means up to 1e6 in magnitude
+    (in a tenth of the draws, zeros of either sign); then the pinned
+    scalar draws above.  Output types, shapes and bytes must all agree.
     """
     rng = np.random.default_rng(1010)
     kinds = ("float", "0d", "array", "reversed")
@@ -407,6 +433,10 @@ def test_kernels_match_closed_form_byte_for_byte():
             (eta_gamma, eta_gamma_closed_form, (rho, theta, r2p, l2p, q, s0)),
         ):
             assert _outcome(kernel, *args) == _outcome(frozen, *args), (kernel.__name__, i)
+    for rho, r2p, l2p in POW_SQUARE_CASES:
+        for wrap in (float, np.asarray):
+            args = (wrap(rho), 0.37, tuple(map(wrap, r2p)), tuple(map(wrap, l2p)), 0.08, 1.3)
+            assert _outcome(eta_gamma, *args) == _outcome(eta_gamma_closed_form, *args)
 
 
 def test_kernels_reject_bad_inputs_as_closed_form():
