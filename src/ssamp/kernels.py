@@ -39,7 +39,7 @@ def _maybe_scalar(a: np.ndarray):
 
 def _floor_variance(v, out: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if not (v >= 0.0).all():
+    if v.size and not v.min() >= 0.0:  # min propagates NaN
         raise ValueError("variance must be nonnegative and not NaN")
     return np.maximum(v, VARIANCE_FLOOR, out=out)
 
@@ -76,7 +76,10 @@ def _prior(theta: float, q: float, s0: float):
         raise ValueError("slab variance s0 must be positive")
     if not 0.0 <= q <= 1.0:
         raise ValueError("jump probability q must lie in [0, 1]")
-    # numpy's log, not math.log, which may round the last bit differently
+    # numpy's log, not math.log, which may round the last bit differently; a log
+    # argument is 0 only at q = 1, or at q <= 2**-54, where q - 1.0 rounds to -1.0
+    if 2.0**-54 < q < 1.0:
+        return max(theta, VARIANCE_FLOOR), s0, np.log(1.0 - q), np.log1p(q - 1.0)
     with np.errstate(divide="ignore"):
         return max(theta, VARIANCE_FLOOR), s0, np.log(1.0 - q), np.log1p(q - 1.0)
 
@@ -93,7 +96,7 @@ def phi_zeta(rho: ArrayLike, theta: float, msg, q: float, s0: float):
     """
     theta, s0, log_spike, log_slab = _prior(theta, q, s0)
     mean = msg[0]
-    shape = np.broadcast_shapes(np.shape(rho), np.shape(mean), np.shape(msg[1]))
+    shape = np.shape(rho) or np.broadcast_shapes(np.shape(mean), np.shape(msg[1]))
     size = shape or (1,)
     # var and m0 become the outputs; the rest lives in one work block
     var, m0 = _floor_variance(msg[1], np.empty(size)), np.empty(size)
@@ -163,7 +166,7 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     """
     theta, s0, log_spike, log_slab = _prior(theta, q, s0)
     (r_mean, r_var), (l_mean, l_var) = r2p, l2p
-    shape = np.broadcast_shapes(*map(np.shape, (rho, r_mean, r_var, l_mean, l_var)))
+    shape = np.shape(rho) or np.broadcast_shapes(*map(np.shape, (r_mean, r_var, l_mean, l_var)))
     scalar = not shape
     size = shape or (1,)
     work = np.empty((28,) + size)
@@ -176,7 +179,7 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     _floor_variance(l_var, vl[0])
     np.add(vr[0], s0, out=vr[1])
     np.add(vl[0], s0, out=vl[1])
-    log_w = np.array([log_spike, log_slab]).reshape((2,) + (1,) * len(size))
+    log_w = np.array((log_spike, log_slab), ndmin=len(size) + 1).T  # shape (2, 1, ...)
     _square(np.subtract(rho, r_mean, out=half_d2), scalar)
     half_d2 *= 0.5
     np.multiply(r_mean, theta, out=r_theta)

@@ -124,7 +124,7 @@ def channel_variance(
     if em:
         theta = float(r @ r) / m
     else:
-        theta = params.delta + float(np.sum(sigma_sq)) / m
+        theta = params.delta + float(sigma_sq.sum()) / m
     return max(theta, THETA_FLOOR)
 
 
@@ -139,15 +139,18 @@ def r2p_update(
     reversed views of rho and the leftward messages it gives the leftward
     messages, reversed.
     """
-    mean, var = phi_zeta(rho[:-1], theta, (mean[:-1], var[:-1]), params.q, params.sigma0_sq)
-    return np.concatenate(([0.0], mean)), np.concatenate(([params.sigma0_sq], var))
+    s0 = params.sigma0_sq
+    out = np.empty((2, len(rho)))
+    out[0, 0], out[1, 0] = 0.0, s0
+    out[0, 1:], out[1, 1:] = phi_zeta(rho[:-1], theta, (mean[:-1], var[:-1]), params.q, s0)
+    return out[0], out[1]
 
 
 def denoise(rho: np.ndarray, theta: float, r2p, l2p, params: PriorParams):
     """Coordinate posterior moments and the mean denoiser derivative, from
     the (mean, var) message pairs r2p and l2p."""
     mu, sigma_sq = eta_gamma(rho, theta, r2p, l2p, params.q, params.sigma0_sq)
-    mean_eta_prime = float(np.mean(sigma_sq)) / theta
+    mean_eta_prime = float(sigma_sq.sum()) / sigma_sq.size / theta
     return mu, sigma_sq, mean_eta_prime
 
 
@@ -161,6 +164,8 @@ def update_residual(
 ) -> np.ndarray:
     """Onsager-corrected residual of estimate mu, damped toward the previous r."""
     candidate = y - op.apply(mu) + r * (op.n / op.m) * onsager
+    if beta == 1.0:  # 0 r, with r finite, could change no more than the sign of a zero
+        return candidate
     return (1.0 - beta) * r + beta * candidate
 
 
@@ -248,6 +253,7 @@ def amp_loop(
     trace = None if truth is None else []
     mu = np.zeros(op.n)
     r = y.copy()
+    sq = np.empty(op.n)  # the squares behind each norm below
     converged = False
     for t in range(1, config.max_iters + 1):
         rho = op.adjoint(r) + mu
@@ -259,12 +265,12 @@ def amp_loop(
         r = update_residual(op, y, mu_new, r, onsager, beta)
         if not (np.isfinite(mu_new).all() and np.isfinite(r).all()):
             raise DivergenceError(f"solver state diverged at iteration {t}")
-        step = float(np.sum((mu_new - mu) ** 2))
-        base = float(np.sum(mu**2))
-        rel = step / base if base > 0.0 else float(np.sum(mu_new**2))
+        step = float(np.square(np.subtract(mu_new, mu, out=sq), out=sq).sum())
+        base = float(np.square(mu, out=sq).sum())
+        rel = step / base if base > 0.0 else float(np.square(mu_new, out=sq).sum())
         mu = mu_new
         if trace is not None:
-            err = float(np.sum((truth - mu) ** 2))
+            err = float(np.square(np.subtract(truth, mu, out=sq), out=sq).sum())
             trace.append(err if truth_sq == 0.0 else err / truth_sq)
             if target_nmse is not None and trace[-1] <= target_nmse:
                 converged = True

@@ -10,8 +10,9 @@ are frozen copies kept to check rewrites: byte for byte,
 ``phi_zeta_closed_form``/``eta_gamma_closed_form``, the chain kernels
 written as one allocating expression per quantity, with their input
 checks, and ``solve_reference``/``tvamp_solve_reference``, the two solvers' own
-AMP loops from before they shared one, built from the package's public
-sub-steps; to a stated tolerance, ``phi_zeta_reference``/
+AMP loops from before they shared one, with the chain glue (message
+boundaries, Onsager mean) written out over the closed-form kernels and the
+package's ``em_update``; to a stated tolerance, ``phi_zeta_reference``/
 ``eta_gamma_reference``, the arithmetic of the chain kernels as pairwise
 fusions normalized by log-sum-exp, without their input checks.
 """
@@ -22,14 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ssamp.signals import nmse
-from ssamp.solver import (
-    THETA_FLOOR,
-    DivergenceError,
-    SolveReport,
-    denoise,
-    em_update,
-    r2p_update,
-)
+from ssamp.solver import THETA_FLOOR, DivergenceError, SolveReport, em_update
 from ssamp.tvamp import tv_divergence, tv_prox
 
 # ---------------------------------------------------------------------------
@@ -516,6 +510,13 @@ def eta_gamma_closed_form(rho, theta, r2p, l2p, q, s0):
 # frozen per-solver AMP loops
 
 
+def _r2p_reference(rho, theta, mean, var, params):
+    """Rightward messages with the pinned boundary message prepended."""
+    s0 = params.sigma0_sq
+    mean, var = phi_zeta_closed_form(rho[:-1], theta, (mean[:-1], var[:-1]), params.q, s0)
+    return np.concatenate(([0.0], mean)), np.concatenate(([s0], var))
+
+
 def solve_reference(op, y, params, config, truth=None, target_nmse=None, em=False):
     """The chain solver's loop before the shared AMP loop, step for step.
 
@@ -544,10 +545,11 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None, em=Fals
             else:
                 theta = float(r @ r) / op.m
             theta = max(theta, THETA_FLOOR)
-            r2p_new = r2p_update(rho, theta, *r2p, params)
-            l2m, l2v = r2p_update(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], params)
+            r2p_new = _r2p_reference(rho, theta, *r2p, params)
+            l2m, l2v = _r2p_reference(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], params)
             r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])
-            mu, sigma_sq, mean_eta_prime = denoise(rho, theta, r2p, l2p, params)
+            mu, sigma_sq = eta_gamma_closed_form(rho, theta, r2p, l2p, params.q, params.sigma0_sq)
+            mean_eta_prime = float(np.mean(sigma_sq)) / theta
             candidate = y - op.apply(mu) + r * (op.n / op.m) * mean_eta_prime
             r = (1.0 - beta) * r + beta * candidate
             if em:

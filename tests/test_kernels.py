@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -202,7 +204,7 @@ def test_eta_prime_matches_finite_differences():
             assert fd == pytest.approx(analytic, rel=1e-6)
 
 
-def test_vector_call_equals_per_index_scalars():
+def test_vector_call_equals_per_index_slices():
     rng = np.random.default_rng(3)
     n = 40
     rho = rng.normal(size=n)
@@ -211,11 +213,12 @@ def test_vector_call_equals_per_index_scalars():
     r_var, l_var = np.exp(rng.uniform(-2, 1, size=(2, n)))
     mean_vec, var_vec = eta_gamma(rho, theta, (r_mean, r_var), (l_mean, l_var), 0.08, 1.3)
     for i in range(n):
+        at = slice(i, i + 1)
         m_i, v_i = eta_gamma(
-            rho[i], theta, (r_mean[i], r_var[i]), (l_mean[i], l_var[i]), 0.08, 1.3
+            rho[at], theta, (r_mean[at], r_var[at]), (l_mean[at], l_var[at]), 0.08, 1.3
         )
-        assert mean_vec[i] == m_i
-        assert var_vec[i] == v_i
+        assert mean_vec[at].tobytes() == m_i.tobytes()
+        assert var_vec[at].tobytes() == v_i.tobytes()
 
 
 @given(
@@ -437,6 +440,24 @@ def test_kernels_match_closed_form_byte_for_byte():
         for wrap in (float, np.asarray):
             args = (wrap(rho), 0.37, tuple(map(wrap, r2p)), tuple(map(wrap, l2p)), 0.08, 1.3)
             assert _outcome(eta_gamma, *args) == _outcome(eta_gamma_closed_form, *args)
+
+
+def test_kernels_take_log_of_zero_weights_without_warning():
+    """At q = 0 and q = 1, and at q <= 2**-54, where q - 1.0 rounds to -1.0,
+    a log weight is log(0) = -inf: both kernels must return the closed
+    form's bytes and emit no warning.  Just above 2**-54 neither log is of 0."""
+    rho, r2p, l2p = (0.3, -1.2), ((0.1, 0.0), (0.5, 2.0)), ((-0.4, 1.0), (0.2, 0.0))
+    for q in (0.0, 1.0, 2.0**-54, 1e-300, float(np.nextafter(2.0**-54, 1.0))):
+        for wrap in (np.asarray, lambda a: a[0]):
+            args = (wrap(rho), 0.7, tuple(map(wrap, r2p)), tuple(map(wrap, l2p)), q, 1.3)
+            want = [
+                _outcome(phi_zeta_closed_form, *args[:3], q, 1.3),
+                _outcome(eta_gamma_closed_form, *args),
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [_outcome(phi_zeta, *args[:3], q, 1.3), _outcome(eta_gamma, *args)]
+            assert got == want, q
 
 
 def test_kernels_reject_bad_inputs_as_closed_form():

@@ -111,7 +111,7 @@ def test_amp_loop_residual_is_a_copy_of_y():
     _, r = rec.calls[0]
     y[0] = 99.0
     assert r[0] == 1.0
-    den = ChainDenoiser(5, 3, PriorParams(q=0.1, sigma0_sq=0.25), SolverConfig())
+    den = ChainDenoiser(5, 3, PriorParams(q=0.1, sigma0_sq=0.25), em=False)
     assert np.all(den.sigma_sq == 0.25)
     assert np.all(den.r2p[1] == 0.25) and np.all(den.l2p[1] == 0.25)
 
