@@ -286,9 +286,9 @@ def run_single_trial(
         report = solve_instance(config, op, y, k, truth=x, target_nmse=target_nmse)
         err = nmse(x, report.estimate)
         iters = report.iters_run
-    except DivergenceError:
+    except DivergenceError as exc:
         err = float("inf")
-        iters = config.max_iters
+        iters = exc.iteration
     seconds = time.perf_counter() - t0
     return TrialResult(
         nmse=err,

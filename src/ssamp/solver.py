@@ -42,6 +42,8 @@ __all__ = [
     "Q_MAX",
     "SIGMA0_SQ_MIN",
     "THETA_FLOOR",
+    "STALL_WINDOW",
+    "STALL_BAND",
     "channel_variance",
     "r2p_update",
     "denoise",
@@ -58,11 +60,17 @@ Q_MIN = 1e-8
 Q_MAX = 1.0 - 1e-8
 SIGMA0_SQ_MIN = 1e-12
 THETA_FLOOR = 1e-12
+STALL_WINDOW = 10  # a residual energy settled this long: AMP is at its fixed point
+STALL_BAND = 1e-2
 
 
 class DivergenceError(RuntimeError):
     """Raised when an AMP iteration's denoiser rejects its input or the
-    estimate or residual picks up NaN or Inf."""
+    estimate or residual picks up NaN or Inf, at ``iteration``."""
+
+    def __init__(self, iteration: int):
+        super().__init__(f"solver state diverged at iteration {iteration}")
+        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -232,12 +240,13 @@ def amp_loop(
     """Run AMP around ``denoiser(rho, r) -> (mu, onsager)`` from mu = 0, r = y.
 
     The residual is damped by the config's damping_beta, or by the
-    operator's default_beta when that is unset.  Stops when the relative
-    estimate change ||mu_new - mu||^2 / ||mu||^2 drops to tol (using
-    ||mu_new||^2 alone while the estimate is still zero), or earlier when
-    an nmse target against ``truth`` is met.  Raises DivergenceError
-    naming the iteration when the denoiser rejects its input or mu or r
-    stop being finite.  final_params is left None.
+    operator's default_beta when that is unset.  Converges when an nmse
+    target against ``truth`` is met, or when ||mu_new - mu||^2 / ||mu||^2
+    drops to tol (from mu = 0, only a zero step).  With tol > 0, stops
+    unconverged once the last STALL_WINDOW + 1 residual energies
+    ||r||^2 / m lie within a factor 1 + STALL_BAND.  Raises DivergenceError
+    at the iteration where the denoiser rejects its input or mu or r stop
+    being finite.  final_params is left None.
     """
     beta = op.default_beta if config.damping_beta is None else config.damping_beta
     y = np.asarray(y, dtype=float)
@@ -254,6 +263,7 @@ def amp_loop(
     mu = np.zeros(op.n)
     r = y.copy()
     sq = np.empty(op.n)  # the squares behind each norm below
+    thetas = []  # the residual energy after each iteration
     converged = False
     for t in range(1, config.max_iters + 1):
         rho = op.adjoint(r) + mu
@@ -261,13 +271,14 @@ def amp_loop(
             mu_new, onsager = denoiser(rho, r)
         except (ValueError, FloatingPointError) as exc:
             # overflow inside an iteration surfaces as a rejected denoiser input
-            raise DivergenceError(f"solver state diverged at iteration {t}") from exc
+            raise DivergenceError(t) from exc
         r = update_residual(op, y, mu_new, r, onsager, beta)
         if not (np.isfinite(mu_new).all() and np.isfinite(r).all()):
-            raise DivergenceError(f"solver state diverged at iteration {t}")
+            raise DivergenceError(t)
+        thetas.append(float(np.square(r, out=sq[: op.m]).sum()) / op.m)
         step = float(np.square(np.subtract(mu_new, mu, out=sq), out=sq).sum())
         base = float(np.square(mu, out=sq).sum())
-        rel = step / base if base > 0.0 else float(np.square(mu_new, out=sq).sum())
+        rel = step / base if base > 0.0 else (0.0 if step == 0.0 else np.inf)
         mu = mu_new
         if trace is not None:
             err = float(np.square(np.subtract(truth, mu, out=sq), out=sq).sum())
@@ -278,6 +289,10 @@ def amp_loop(
         if rel <= config.tol:
             converged = True
             break
+        settled = thetas[-STALL_WINDOW - 1 :]
+        if config.tol > 0.0 and len(settled) > STALL_WINDOW:
+            if max(settled) <= (1.0 + STALL_BAND) * min(settled):
+                break
     return SolveReport(
         estimate=mu,
         iters_run=t,

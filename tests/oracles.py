@@ -555,11 +555,11 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None, em=Fals
             if em:
                 params = em_update(rho, theta, params)
         except (ValueError, FloatingPointError) as exc:
-            raise DivergenceError(f"solver state diverged at iteration {it}") from exc
+            raise DivergenceError(it) from exc
         if not (
             np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma_sq)) and np.all(np.isfinite(r))
         ):
-            raise DivergenceError(f"solver state diverged at iteration {it}")
+            raise DivergenceError(it)
         step = float(np.sum((mu - prev_mu) ** 2))
         base = float(np.sum(prev_mu**2))
         rel = step / base if base > 0.0 else float(np.sum(mu**2))
@@ -592,13 +592,13 @@ def tvamp_solve_reference(op, y, lam, config, truth=None, target_nmse=None):
         rho = op.adjoint(r) + mu
         threshold = lam * np.sqrt(theta)
         if not np.isfinite(threshold):
-            raise DivergenceError(f"solver state diverged at iteration {it}")
+            raise DivergenceError(it)
         mu_new = tv_prox(rho, threshold)
         onsager = tv_divergence(mu_new)
         candidate = y - op.apply(mu_new) + r * (op.n / op.m) * onsager
         r = (1.0 - beta) * r + beta * candidate
         if not (np.all(np.isfinite(mu_new)) and np.all(np.isfinite(r))):
-            raise DivergenceError(f"solver state diverged at iteration {it}")
+            raise DivergenceError(it)
         step = float(np.sum((mu_new - mu) ** 2))
         base = float(np.sum(mu**2))
         rel = step / base if base > 0.0 else float(np.sum(mu_new**2))

@@ -29,7 +29,7 @@ from ssamp.harness import (
     solve_instance,
 )
 from ssamp.signals import nmse
-from ssamp.solver import SolverConfig, default_em_params, solve
+from ssamp.solver import DivergenceError, SolverConfig, default_em_params, solve
 
 
 def _cell(m_over_n, k_over_m, successes, trials=10, skipped=False):
@@ -211,7 +211,11 @@ def test_single_trial_swallows_divergence():
         r = run_single_trial(cfg, 0.5, 0.1, 100, 10, 0)
     assert not r.success
     assert r.nmse == float("inf")
-    assert r.iters == 2000
+    # the iterations the run made up to its divergence, not max_iters
+    op, _, y = make_instance(cfg, 0.5, 0.1, 100, 10, 0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        solve_instance(cfg, op, y, 10, truth=None, target_nmse=None)
+    assert r.iters == info.value.iteration < 2000
 
 
 def test_cell_sizes_rounding_and_feasibility():
@@ -369,6 +373,27 @@ def test_convergence_trace_shape_and_determinism():
     assert res.rows[0][0] == 1 and res.rows[-1][0] == 60
     again = run_convergence(cfg)[0]
     assert again == res
+
+
+def test_convergence_free_runs_do_not_stall(monkeypatch):
+    # TV-AMP past its transition: stopped by tol, these runs stall; free runs (tol = 0) never do
+    cfg = ExperimentConfig(
+        solver="tvamp", n=200, grid_m_over_n=(0.5,), grid_k_over_m=(0.5,), trials=3, max_iters=120
+    )
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(solve_instance(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(ssamp.harness, "solve_instance", recording)
+    stopped = [run_single_trial(cfg, 0.5, 0.5, 100, 50, t) for t in range(cfg.trials)]
+    assert any(not rep.converged and rep.iters_run < 120 for rep in reports)
+    assert [r.iters for r in stopped] == [rep.iters_run for rep in reports]
+    reports.clear()
+    res = run_convergence(cfg)[0]
+    assert len(res.rows) == 120
+    assert [rep.iters_run for rep in reports] == [120] * cfg.trials
 
 
 def test_convergence_requires_paired_grids():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -648,8 +649,9 @@ def test_amp_loop_divergence_rule():
                 raise exc("rejected")
             return rho * 0.5, 0.1
 
-        with pytest.raises(DivergenceError, match="at iteration 3$"):
+        with pytest.raises(DivergenceError, match="at iteration 3$") as info:
             amp_loop(op, y, rejecting, config)
+        assert info.value.iteration == 3
     for bad in (np.nan, np.inf):
         # a non-finite estimate, then a finite estimate with a non-finite Onsager term
         mu = np.zeros(9)
@@ -658,6 +660,69 @@ def test_amp_loop_divergence_rule():
             amp_loop(op, y, _Recorder(mu), config)
         with pytest.raises(DivergenceError, match="at iteration 1$"):
             amp_loop(op, y, _Recorder(np.zeros(9), onsager=bad), config)
+
+
+class _Settling:
+    """Denoiser for amp_loop whose estimates leave a residual of a chosen scale.
+
+    With ``y = H u`` and no Onsager term, the estimate (1 - s_t) u leaves
+    the residual s_t y, so the residual energy is s_t^2 ||y||^2 / m.
+    ``scales(t)`` gives s_t for iteration t = 1, 2, ...
+    """
+
+    def __init__(self, u, scales):
+        self.u, self.scales, self.t = u, scales, 0
+
+    def __call__(self, rho, r):
+        self.t += 1
+        return (1.0 - self.scales(self.t)) * self.u, 0.0
+
+
+def _halve_then_wobble(t0):
+    """s_t halves each iteration up to t0, then alternates 0.1% about s_t0:
+    the residual energy first falls fourfold per iteration, then sits in a
+    band of about 0.4%, and the estimate never stops moving."""
+    return lambda t: 0.5**t if t <= t0 else 0.5**t0 * (1.0 + 1e-3 * (-1) ** t)
+
+
+def test_amp_loop_stops_a_settled_residual():
+    op = make_iid_gaussian(40, 80, 3)
+    u = np.random.default_rng(4).normal(size=80)
+    for t0 in (1, 6, 12):
+        for scale in (1.0, 1e-8):  # the rule is relative: scaling y changes nothing
+            y = op.apply(scale * u)
+            rep = amp_loop(op, y, _Settling(scale * u, _halve_then_wobble(t0)), SolverConfig(100))
+            # energies t0 ... t0 + STALL_WINDOW are the first STALL_WINDOW + 1 in the band
+            assert (rep.iters_run, rep.converged) == (t0 + solver_module.STALL_WINDOW, False)
+        # free runs (tol = 0) never stall
+        free = SolverConfig(100, tol=0.0)
+        rep = amp_loop(op, op.apply(u), _Settling(u, _halve_then_wobble(t0)), free)
+        assert (rep.iters_run, rep.converged) == (100, False)
+
+
+def test_amp_loop_runs_on_while_the_residual_decays():
+    # residual energy falling 2% per iteration: 18% over the window, far outside the band,
+    # while the relative estimate change stays above tol
+    op = make_iid_gaussian(40, 80, 3)
+    u = np.random.default_rng(4).normal(size=80)
+    rep = amp_loop(op, op.apply(u), _Settling(u, lambda t: 0.99**t), SolverConfig(300))
+    assert (rep.iters_run, rep.converged) == (300, False)
+
+
+def test_amp_loop_zero_estimate_converges_only_on_a_zero_step():
+    # from mu = 0 a tiny first estimate is a step of relative size infinity, not convergence
+    op = make_iid_gaussian(5, 9, 1)
+    y = np.random.default_rng(6).normal(size=5)
+    rep = amp_loop(op, y, _Recorder(np.full(9, 1e-10)), SolverConfig(max_iters=10))
+    assert (rep.iters_run, rep.converged) == (2, True)  # then the step is exactly zero
+    rep = amp_loop(op, y, _Recorder(np.zeros(9)), SolverConfig(max_iters=10))
+    assert (rep.iters_run, rep.converged) == (1, True)
+    # an oracle run on a signal scaled by 1e-8 used to stop at iteration 1, "converged" at NMSE 0.46
+    op, x, _, _ = _easy_instance(n=200, m=100, k=10, op_seed=6, sig_seed=13)
+    c = 1e-8
+    rep = solve(op, op.apply(c * x), PriorParams(10 / 199, c**2), SolverConfig(500), truth=c * x)
+    assert rep.iters_run > 1
+    assert rep.nmse_trace[-1] < 0.1
 
 
 def _outcome(run):
@@ -670,6 +735,21 @@ def _outcome(run):
     return rep.estimate.tobytes(), rep.iters_run, rep.converged, trace, rep.final_params
 
 
+def _matches_frozen(run, reference, config):
+    """The outcome of ``run(config)``, checked against the frozen loop.
+
+    The frozen loops have no stall rule, so a run that stopped unconverged
+    before max_iters is compared with the frozen loop cut at that
+    iteration.  Returns the outcome and whether the run stalled.
+    """
+    got = _outcome(lambda: run(config))
+    stalled = not isinstance(got, str) and not got[2] and got[1] < config.max_iters
+    if stalled:
+        config = replace(config, max_iters=got[1])
+    assert got == _outcome(lambda: reference(config))
+    return got, stalled
+
+
 def test_amp_loop_matches_frozen_loops_byte_for_byte():
     n, m, k = 256, 128, 13
     ops = (
@@ -677,7 +757,7 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
         column_sign_randomize(make_subsampled_dct(m, n, 41), 42),
         column_sign_randomize(make_quasi_toeplitz(m, n, n, 43), 44),
     )
-    outcomes = []
+    outcomes, stalls = [], []
     for case, op in enumerate(ops):
         spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=50 + case)
         x = generate(spec, k)
@@ -691,18 +771,24 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
                 (default_em_params(op, y, delta), True),
             ]
             for params, em in runs:
-                got = _outcome(lambda: solve(op, y, params, config, truth, target, em))
-                want = _outcome(
-                    lambda: solve_reference(op, y, params, config, truth, target, em)
+                got, stalled = _matches_frozen(
+                    lambda c: solve(op, y, params, c, truth, target, em),
+                    lambda c: solve_reference(op, y, params, c, truth, target, em),
+                    config,
                 )
-                assert got == want, (case, delta, em)
                 outcomes.append(got)
+                stalls.append(stalled)
             tv = SolverConfig(max_iters=60, damping_beta=0.7 if case else 1.0)
-            got = _outcome(lambda: tvamp_solve(op, y, 1.0, tv, truth, target))
-            assert got == _outcome(lambda: tvamp_solve_reference(op, y, 1.0, tv, truth, target))
+            got, stalled = _matches_frozen(
+                lambda c: tvamp_solve(op, y, 1.0, c, truth, target),
+                lambda c: tvamp_solve_reference(op, y, 1.0, c, truth, target),
+                tv,
+            )
             outcomes.append(got)
+            stalls.append(stalled)
     assert all(not isinstance(o, str) for o in outcomes)
     assert any(o[2] for o in outcomes) and any(not o[2] for o in outcomes)
+    assert any(stalls)
 
     # diverging runs: undamped full-band quasi-Toeplitz rows, and a TV threshold far too small
     op = column_sign_randomize(make_quasi_toeplitz(128, 256, 256, 0), 5000)
