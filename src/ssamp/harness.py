@@ -133,15 +133,17 @@ class ExperimentConfig:
         for g in (self.grid_m_over_n, self.grid_k_over_m):
             if not g or any(not 0.0 < v <= 1.0 for v in g):
                 raise ValueError("grid values must lie in (0, 1]")
-        # the negated comparisons reject NaN too
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
-        if not self.sigma0 > 0.0:
-            raise ValueError("sigma0 must be positive")
+        # the negated comparisons reject NaN too, and the upper bounds infinity
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError("delta must be nonnegative and finite")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise ValueError("sigma0 must be positive and finite")
         if self.q is not None and not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0.0 <= self.success_nmse < np.inf:
+            raise ValueError("success_nmse must be nonnegative and finite")
         if self.band is not None and not 1 <= self.band <= self.n:
             raise ValueError("band must be None (full band) or lie in [1, n]")
         if not self.col_weight >= 1:

@@ -8,9 +8,11 @@ posterior is a mixture of two or four Gaussians, written out in closed form
 and normalized by a max-shift of the log weights, so |rho| up to 1e6 and
 variances from 1e-12 to 1e12 never overflow.  Fused means are weighted
 averages and variances use centered component means, which avoids
-cancellation at large means.  rho and the message means and variances may
-be scalars or arrays of a common shape, and outputs carry that shape; theta,
-q and s0 are shared along the chain and must be scalars.
+cancellation at large means.  The kernels are array-only: rho is an
+ndarray with ndim >= 1 (one coordinate is a 1-element array) and the
+outputs are arrays of its shape.  The message means and variances are
+arrays of that shape or scalars, which broadcast; theta, q and s0 are
+shared along the chain and must be scalars.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ VARIANCE_FLOOR = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-ArrayLike = float | np.ndarray
-
-
-def _maybe_scalar(a: np.ndarray):
-    return float(a) if np.ndim(a) == 0 else a
-
 
 def _floor_variance(v, out: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -44,31 +40,21 @@ def _floor_variance(v, out: np.ndarray) -> np.ndarray:
     return np.maximum(v, VARIANCE_FLOOR, out=out)
 
 
-def _square(a: np.ndarray, scalar: bool) -> np.ndarray:
-    """a ** 2 in place, rounded as numpy rounds ``x ** 2``: an array is
-    multiplied by itself, a numpy or Python scalar goes through C pow,
-    which differs in the last bit on about 0.1% of inputs."""
-    if scalar:
-        a.flat = [x**2 for x in a.flat]
-    else:
-        np.multiply(a, a, out=a)
-    return a
-
-
-def log_gauss(x: ArrayLike, mean: ArrayLike, variance: ArrayLike) -> ArrayLike:
-    """Log density of N(x; mean, variance).  Variance must be positive."""
+def log_gauss(x, mean, variance) -> np.ndarray:
+    """Log density of N(x; mean, variance), over the inputs' broadcast
+    shape.  Variance must be positive."""
     v = np.asarray(variance, dtype=float)
     if not (v > 0.0).all():
         raise ValueError("variance must be positive")
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    out = -0.5 * (_LOG_2PI + np.log(v) + (x - mean) ** 2 / v)
-    return _maybe_scalar(out)
+    return -0.5 * (_LOG_2PI + np.log(v) + (x - mean) ** 2 / v)
 
 
-def _prior(theta: float, q: float, s0: float):
+def _prior(rho: np.ndarray, theta: float, q: float, s0: float):
     """Checked theta (floored), s0, and the log spike and slab weights;
-    float() makes an array theta, q or s0 a TypeError."""
+    a rho that is no ndarray of ndim >= 1 is a TypeError, and so (through
+    float()) is an array theta, q or s0."""
+    if not (isinstance(rho, np.ndarray) and rho.ndim >= 1):
+        raise TypeError("rho must be an ndarray with ndim >= 1; one coordinate has shape (1,)")
     theta, q, s0 = float(theta), float(q), float(s0)
     if not theta > 0.0:
         raise ValueError("channel variance theta must be positive")
@@ -84,7 +70,7 @@ def _prior(theta: float, q: float, s0: float):
         return max(theta, VARIANCE_FLOOR), s0, np.log(1.0 - q), np.log1p(q - 1.0)
 
 
-def phi_zeta(rho: ArrayLike, theta: float, msg, q: float, s0: float):
+def phi_zeta(rho: np.ndarray, theta: float, msg, q: float, s0: float):
     """Posterior mean and variance given a single directional (mean, var) message.
 
     The spike and slab components have means m0, m1 (m1 - m0 = dm, formed
@@ -94,13 +80,11 @@ def phi_zeta(rho: ArrayLike, theta: float, msg, q: float, s0: float):
     expressions (kept in the tests as phi_zeta_closed_form), so the outputs
     round the same.  No input is written.
     """
-    theta, s0, log_spike, log_slab = _prior(theta, q, s0)
+    theta, s0, log_spike, log_slab = _prior(rho, theta, q, s0)
     mean = msg[0]
-    shape = np.shape(rho) or np.broadcast_shapes(np.shape(mean), np.shape(msg[1]))
-    size = shape or (1,)
     # var and m0 become the outputs; the rest lives in one work block
-    var, m0 = _floor_variance(msg[1], np.empty(size)), np.empty(size)
-    var_slab, d, inv_a0, inv_a1, g, dm, m1, odds_slab = np.empty((8,) + size)
+    var, m0 = _floor_variance(msg[1], np.empty(rho.shape)), np.empty(rho.shape)
+    var_slab, d, inv_a0, inv_a1, g, dm, m1, odds_slab = np.empty((8,) + rho.shape)
     np.add(var, s0, out=var_slab)
     np.subtract(rho, mean, out=d)
     np.add(var, theta, out=inv_a0)
@@ -147,10 +131,10 @@ def phi_zeta(rho: ArrayLike, theta: float, msg, q: float, s0: float):
     m0 *= p0
     m1 *= p1
     m0 += m1
-    return _maybe_scalar(m0.reshape(shape)), _maybe_scalar(var.reshape(shape))
+    return m0, var
 
 
-def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
+def eta_gamma(rho: np.ndarray, theta: float, r2p, l2p, q: float, s0: float):
     """Posterior mean and variance of a coordinate given both (mean, var) messages.
 
     Each of the four (r2p, l2p) spike/slab pairs fuses the channel with its
@@ -164,11 +148,9 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     written; r_mean theta, l_var + s0 and l_mean v1, which those
     expressions repeat, are formed once.
     """
-    theta, s0, log_spike, log_slab = _prior(theta, q, s0)
+    theta, s0, log_spike, log_slab = _prior(rho, theta, q, s0)
     (r_mean, r_var), (l_mean, l_var) = r2p, l2p
-    shape = np.shape(rho) or np.broadcast_shapes(*map(np.shape, (r_mean, r_var, l_mean, l_var)))
-    scalar = not shape
-    size = shape or (1,)
+    size = rho.shape
     work = np.empty((28,) + size)
     vr, vl, inv_a, m1, lw1 = (work[i : i + 2] for i in range(0, 10, 2))
     half_d2, r_theta = work[10], work[11]
@@ -179,8 +161,9 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     _floor_variance(l_var, vl[0])
     np.add(vr[0], s0, out=vr[1])
     np.add(vl[0], s0, out=vl[1])
-    log_w = np.array((log_spike, log_slab), ndmin=len(size) + 1).T  # shape (2, 1, ...)
-    _square(np.subtract(rho, r_mean, out=half_d2), scalar)
+    log_w = np.array((log_spike, log_slab), ndmin=rho.ndim + 1).T  # shape (2, 1, ...)
+    np.subtract(rho, r_mean, out=half_d2)
+    half_d2 *= half_d2
     half_d2 *= 0.5
     np.multiply(r_mean, theta, out=r_theta)
     # channel with the r2p components: rows spike, slab
@@ -198,7 +181,8 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     lw1 += log_w
     inv_a *= half_d2
     lw1 -= inv_a
-    half_e2 = _square(np.subtract(m1, l_mean, out=inv_a), scalar)
+    half_e2 = np.subtract(m1, l_mean, out=inv_a)
+    half_e2 *= half_e2
     half_e2 *= 0.5
     # then with the l2p components: [i, j] fuses r2p row i with l2p row j
     v1, lw1, half_e2 = v1[:, None], lw1[:, None], half_e2[:, None]
@@ -234,10 +218,11 @@ def eta_gamma(rho: ArrayLike, theta: float, r2p, l2p, q: float, s0: float):
     mean /= total
     means -= mean
     spreads = variances
-    spreads += _square(means, scalar)
+    means *= means
+    spreads += means
     spreads *= weights
     var = spreads[0] + spreads[1]
     var += spreads[2]
     var += spreads[3]
     var /= total
-    return _maybe_scalar(mean.reshape(shape)), _maybe_scalar(var.reshape(shape))
+    return mean, var

@@ -153,7 +153,6 @@ class _QuasiToeplitz(LinearOperator):
         if not 1 <= band <= n:
             raise ValueError("band width must satisfy 1 <= b <= n")
         super().__init__(m, n, "quasi_toeplitz")
-        self.band = int(band)
         rng = np.random.default_rng(seed)
         self.coeffs = rng.normal(0.0, 1.0 / np.sqrt(m), size=band)
         row = np.zeros(n)
@@ -180,7 +179,6 @@ class _SparseBernoulli(LinearOperator):
         if not 1 <= col_weight <= m:
             raise ValueError("col_weight must satisfy 1 <= col_weight <= m")
         super().__init__(m, n, "sparse_bernoulli")
-        self.col_weight = int(col_weight)
         rng = np.random.default_rng(seed)
         rows = np.empty((col_weight, n), dtype=np.int64)
         for i in range(n):

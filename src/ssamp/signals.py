@@ -39,8 +39,8 @@ class SignalSpec:
             raise ValueError("signal length must be at least 2")
         if self.model not in MODELS:
             raise ValueError(f"unknown signal model {self.model!r}")
-        if not self.sigma0 > 0.0:
-            raise ValueError("sigma0 must be positive")
+        if not 0.0 < self.sigma0 < np.inf:  # rejects NaN too
+            raise ValueError("sigma0 must be positive and finite")
 
 
 def _draw_jumps(rng, model, sigma0, count):
@@ -67,8 +67,8 @@ def generate(spec: SignalSpec, k: int) -> np.ndarray:
 
 def measure(op: LinearOperator, x: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """y = op(x) + w with w ~ N(0, delta I); delta = 0 is exactly noiseless."""
-    if delta < 0:
-        raise ValueError("noise variance delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:  # rejects NaN too
+        raise ValueError("noise variance delta must be nonnegative and finite")
     y = op.apply(x)
     if delta > 0:
         rng = np.random.default_rng(seed)

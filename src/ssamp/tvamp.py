@@ -115,7 +115,7 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
                 kplus = k
 
 
-def tv_divergence(x: np.ndarray, tol: float = SEGMENT_TOL) -> float:
+def tv_divergence(x: np.ndarray) -> float:
     """Denoiser divergence: constant segments of x over its length.
 
     The prox averages the input within each output segment, so its
@@ -124,7 +124,7 @@ def tv_divergence(x: np.ndarray, tol: float = SEGMENT_TOL) -> float:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("x must be nonempty")
-    segments = 1 + int(np.count_nonzero(np.abs(np.diff(x)) > tol))
+    segments = 1 + int(np.count_nonzero(np.abs(np.diff(x)) > SEGMENT_TOL))
     return segments / x.size
 
 

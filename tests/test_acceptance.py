@@ -66,17 +66,18 @@ def test_01_denoiser_matches_quadrature_oracle():
         rho, theta, msgs, q, s0 = _draw_case(rng)
         # the oracle takes each message as (mean, var, spike weight, slab variance)
         oracle_msgs = [(mean, var, 1.0 - q, s0) for mean, var in msgs]
+        # the kernels take the one coordinate as a 1-element rho
         pairs = [
             (
-                eta_gamma(rho, theta, msgs[0], msgs[1], q, s0),
+                eta_gamma(np.array([rho]), theta, msgs[0], msgs[1], q, s0),
                 quad_posterior_moments(rho, theta, oracle_msgs),
             ),
             (
-                phi_zeta(rho, theta, msgs[0], q, s0),
+                phi_zeta(np.array([rho]), theta, msgs[0], q, s0),
                 quad_posterior_moments(rho, theta, oracle_msgs[:1]),
             ),
         ]
-        for (mean, var), (qmean, qvar) in pairs:
+        for ((mean,), (var,)), (qmean, qvar) in pairs:
             for got, want in ((mean, qmean), (var, qvar)):
                 err = abs(got - want)
                 assert err <= max(1e-8 * abs(want), 1e-10), (rho, theta, msgs, q, s0)
@@ -98,10 +99,10 @@ def test_02_posterior_mean_derivative_identity():
     worst = 0.0
     for _ in range(1_000):
         rho, theta, (r2p, l2p), q, s0 = _draw_case(rng)
-        analytic = eta_gamma(rho, theta, r2p, l2p, q, s0)[1] / theta
+        analytic = eta_gamma(np.array([rho]), theta, r2p, l2p, q, s0)[1][0] / theta
 
         def mean_of(t):
-            return eta_gamma(t, theta, r2p, l2p, q, s0)[0]
+            return eta_gamma(np.array([t]), theta, r2p, l2p, q, s0)[0][0]
 
         step = 1e-4 * max(1.0, abs(rho))
         coarse = central_difference(mean_of, rho, step)

@@ -95,12 +95,19 @@ def test_config_rejects_bad_solver_settings():
         {"max_iters": 0},
         {"tol": -1.0},
         {"sigma0": 0.0},
+        {"sigma0": float("inf")},
         {"delta": -1.0},
         {"delta": float("nan")},
+        {"delta": float("inf")},
         {"q": 2.0},
         {"q": -0.1},
         {"lam": 0.0},
         {"lam": float("nan")},
+        {"lam": float("inf")},
+        # a NaN target used to count every trial a failure
+        {"success_nmse": float("nan")},
+        {"success_nmse": float("inf")},
+        {"success_nmse": -1e-4},
     ]
     for fields in bad:
         with pytest.raises(ValueError):

@@ -50,10 +50,17 @@ def test_log_gauss_rejects_nonpositive_variance():
         log_gauss(0.0, 0.0, -1.0)
 
 
+def _coord(kernel, rho, *args):
+    """A kernel's (mean, var) at the one coordinate rho, called on a
+    1-element array; the scalar messages broadcast to it."""
+    mean, var = kernel(np.array([rho]), *args)
+    return mean[0], var[0]
+
+
 def _pair(ma, va, mb, vb):
     """Plain two-Gaussian fusion through phi_zeta: jump probability 0 leaves
     the channel N(x; ma, va) fused with the message spike N(x; mb, vb) alone."""
-    return phi_zeta(ma, va, (mb, vb), 0.0, 1.0)
+    return _coord(phi_zeta, ma, va, (mb, vb), 0.0, 1.0)
 
 
 def test_fuse_pair_known_case():
@@ -88,16 +95,16 @@ def test_fuse_pair_rejects_negative_variance():
     with pytest.raises(ValueError):
         _pair(0.0, 1.0, 0.0, -1e-3)
     with pytest.raises(ValueError):
-        eta_gamma(0.0, 1.0, (0.0, 1.0), (0.0, -1e-3), 0.1, 1.0)
+        eta_gamma(np.zeros(1), 1.0, (0.0, 1.0), (0.0, -1e-3), 0.1, 1.0)
 
 
 def test_posterior_rejects_bad_prior():
     # q outside [0, 1] and a nonpositive slab variance, in both kernels
     for q, s0 in ((-0.1, 1.0), (1.5, 1.0), (0.1, 0.0), (0.1, -2.0)):
         with pytest.raises(ValueError):
-            phi_zeta(0.0, 1.0, (0.0, 1.0), q, s0)
+            phi_zeta(np.zeros(1), 1.0, (0.0, 1.0), q, s0)
         with pytest.raises(ValueError):
-            eta_gamma(0.0, 1.0, (0.0, 1.0), (0.0, 1.0), q, s0)
+            eta_gamma(np.zeros(1), 1.0, (0.0, 1.0), (0.0, 1.0), q, s0)
 
 
 def test_posterior_single_weights_normalized():
@@ -105,19 +112,19 @@ def test_posterior_single_weights_normalized():
     # mean and the posterior mean is it times the total weight
     c = 0.8
     _, theta, (_, var), q, s0 = SINGLE_CASE
-    mean, _ = phi_zeta(c, theta, (c, var), q, s0)
+    mean, _ = _coord(phi_zeta, c, theta, (c, var), q, s0)
     assert abs(mean / c - 1.0) <= 1e-12
 
 
 def test_posterior_single_matches_quadrature():
-    mean, var = phi_zeta(*SINGLE_CASE)
+    mean, var = _coord(phi_zeta, *SINGLE_CASE)
     assert mean == pytest.approx(SINGLE_MEAN, rel=1e-10)
     assert var == pytest.approx(SINGLE_VAR, rel=1e-10)
 
 
 def test_posterior_single_collapses_at_full_spike_weight():
     # q = 0 puts all weight on the spike: plain Gaussian fusion
-    mean, var = phi_zeta(1.1, 0.4, (0.3, 0.7), 0.0, 2.0)
+    mean, var = _coord(phi_zeta, 1.1, 0.4, (0.3, 0.7), 0.0, 2.0)
     fused_var = 1.0 / (1.0 / 0.4 + 1.0 / 0.7)
     assert mean == pytest.approx(fused_var * (1.1 / 0.4 + 0.3 / 0.7), rel=1e-15)
     assert var == pytest.approx(fused_var, rel=1e-15)
@@ -126,9 +133,9 @@ def test_posterior_single_collapses_at_full_spike_weight():
 def test_posterior_rejects_nonpositive_theta():
     msg = (0.0, 1.0)
     with pytest.raises(ValueError):
-        phi_zeta(0.0, 0.0, msg, 0.1, 1.0)
+        phi_zeta(np.zeros(1), 0.0, msg, 0.1, 1.0)
     with pytest.raises(ValueError):
-        eta_gamma(0.0, -1.0, msg, msg, 0.1, 1.0)
+        eta_gamma(np.zeros(1), -1.0, msg, msg, 0.1, 1.0)
 
 
 def test_posterior_double_weights_normalized():
@@ -136,12 +143,12 @@ def test_posterior_double_weights_normalized():
     # c times the total weight of the four components
     c = -0.6
     _, theta, (_, r_var), (_, l_var), q, s0 = DOUBLE_CASE
-    mean, _ = eta_gamma(c, theta, (c, r_var), (c, l_var), q, s0)
+    mean, _ = _coord(eta_gamma, c, theta, (c, r_var), (c, l_var), q, s0)
     assert abs(mean / c - 1.0) <= 1e-12
 
 
 def test_posterior_double_matches_quadrature():
-    mean, var = eta_gamma(*DOUBLE_CASE)
+    mean, var = _coord(eta_gamma, *DOUBLE_CASE)
     assert mean == pytest.approx(DOUBLE_MEAN, rel=1e-10)
     assert var == pytest.approx(DOUBLE_VAR, rel=1e-10)
 
@@ -149,8 +156,8 @@ def test_posterior_double_matches_quadrature():
 def test_posterior_double_fusion_order_invariant():
     # swapping the two messages must not change the posterior moments
     rho, theta, r2p, l2p, q, s0 = DOUBLE_CASE
-    m1, v1 = eta_gamma(rho, theta, r2p, l2p, q, s0)
-    m2, v2 = eta_gamma(rho, theta, l2p, r2p, q, s0)
+    m1, v1 = _coord(eta_gamma, rho, theta, r2p, l2p, q, s0)
+    m2, v2 = _coord(eta_gamma, rho, theta, l2p, r2p, q, s0)
     assert m1 == pytest.approx(m2, rel=1e-13)
     assert v1 == pytest.approx(v2, rel=1e-13)
 
@@ -162,7 +169,7 @@ def test_eta_reduces_to_linear_mmse_without_slabs():
     theta = 0.5
     prec = 1.0 / theta + 1.0 / 0.3 + 1.0 / 0.8
     for rho in (-2.0, 0.0, 0.7, 3.5):
-        mean, var = eta_gamma(rho, theta, r2p, l2p, 0.0, 1.0)
+        mean, var = _coord(eta_gamma, rho, theta, r2p, l2p, 0.0, 1.0)
         expect_mean = (rho / theta + 0.4 / 0.3 + -0.6 / 0.8) / prec
         assert mean == pytest.approx(expect_mean, rel=1e-14)
         assert var == pytest.approx(1.0 / prec, rel=1e-14)
@@ -196,29 +203,12 @@ def test_eta_prime_matches_finite_differences():
         q = rng.uniform(0.005, 0.95)
         s0 = float(np.exp(rng.uniform(np.log(0.1), np.log(5.0))))
         rho = rng.uniform(-4, 4)
-        analytic = eta_gamma(rho, theta, r2p, l2p, q, s0)[1] / theta
+        analytic = _coord(eta_gamma, rho, theta, r2p, l2p, q, s0)[1] / theta
         fd = central_difference(
-            lambda r: eta_gamma(r, theta, r2p, l2p, q, s0)[0], rho, 1e-5
+            lambda r: _coord(eta_gamma, r, theta, r2p, l2p, q, s0)[0], rho, 1e-5
         )
         if abs(analytic) > 1e-8:
             assert fd == pytest.approx(analytic, rel=1e-6)
-
-
-def test_vector_call_equals_per_index_slices():
-    rng = np.random.default_rng(3)
-    n = 40
-    rho = rng.normal(size=n)
-    theta = 0.37
-    r_mean, l_mean = rng.normal(size=(2, n))
-    r_var, l_var = np.exp(rng.uniform(-2, 1, size=(2, n)))
-    mean_vec, var_vec = eta_gamma(rho, theta, (r_mean, r_var), (l_mean, l_var), 0.08, 1.3)
-    for i in range(n):
-        at = slice(i, i + 1)
-        m_i, v_i = eta_gamma(
-            rho[at], theta, (r_mean[at], r_var[at]), (l_mean[at], l_var[at]), 0.08, 1.3
-        )
-        assert mean_vec[at].tobytes() == m_i.tobytes()
-        assert var_vec[at].tobytes() == v_i.tobytes()
 
 
 @given(
@@ -232,8 +222,8 @@ def test_vector_call_equals_per_index_slices():
 @settings(max_examples=300)
 def test_posteriors_finite_over_extreme_inputs(rho, theta, mean, var, q, s0):
     msg = (mean, var)
-    mean1, var1 = phi_zeta(rho, theta, msg, q, s0)
-    mean2, var2 = eta_gamma(rho, theta, msg, msg, q, s0)
+    mean1, var1 = _coord(phi_zeta, rho, theta, msg, q, s0)
+    mean2, var2 = _coord(eta_gamma, rho, theta, msg, msg, q, s0)
     assert np.isfinite(mean1) and np.isfinite(var1)
     assert np.isfinite(mean2) and np.isfinite(var2)
     assert var1 >= 0.0 and var2 >= 0.0
@@ -253,7 +243,7 @@ def test_posteriors_finite_over_extreme_inputs(rho, theta, mean, var, q, s0):
 def test_gamma_bounded_by_theta_plus_widest_component(
     rho, theta, mean_r, mean_l, var_r, var_l, q, s0
 ):
-    _, gamma = eta_gamma(rho, theta, (mean_r, var_r), (mean_l, var_l), q, s0)
+    _, gamma = _coord(eta_gamma, rho, theta, (mean_r, var_r), (mean_l, var_l), q, s0)
     widest = max(var_r, var_l) + s0
     assert 0.0 <= gamma <= theta + widest + 1e-9
 
@@ -269,7 +259,7 @@ def test_moments_against_live_quadrature_draws():
         ]
         q = rng.uniform(0.001, 0.95)
         s0 = float(np.exp(rng.uniform(np.log(0.1), np.log(5.0))))
-        mean, var = eta_gamma(rho, theta, *pairs, q, s0)
+        mean, var = _coord(eta_gamma, rho, theta, *pairs, q, s0)
         msgs = [(m, v, 1.0 - q, s0) for m, v in pairs]
         qmean, qvar = quad_posterior_moments(rho, theta, msgs)
         if abs(qmean) > 1e-6:
@@ -286,9 +276,9 @@ def _log_uniform(rng, lo, hi, n):
 def test_closed_forms_agree_with_log_sum_exp_reference():
     """The closed-form kernels against the frozen log-sum-exp ones.
 
-    10,000 draws, each a kernel call with scalar theta, q and s0 (the
-    reference runs on all draws at once): q uniform or one of 0, 1, 1e-8,
-    1 - 1e-8; a fifth of the message variances zero; theta, s0 and the
+    10,000 draws, each a kernel call on a 1-element rho with scalar theta,
+    q and s0 (the reference runs on all draws at once): q uniform or one of
+    0, 1, 1e-8, 1 - 1e-8; a fifth of the message variances zero; theta, s0 and the
     other variances log-uniform in [1e-12, 1e12]; rho and message means up
     to 1e6 in magnitude.  With S the largest |rho| or |message mean| of a
     draw, the two agree to rel 1e-11 plus an absolute floor of 1e-12 S on
@@ -322,12 +312,17 @@ def test_closed_forms_agree_with_log_sum_exp_reference():
     )
 
     def draw(args, i):
-        """Draw i of the arrays in args, messages as (mean, var) pairs."""
-        return [tuple(a[i] for a in arg) if isinstance(arg, tuple) else arg[i] for arg in args]
+        """Draw i of the arrays in args, messages as (mean, var) pairs and
+        rho as a 1-element array."""
+        rho, *rest = [
+            tuple(a[i] for a in arg) if isinstance(arg, tuple) else arg[i] for arg in args
+        ]
+        return [np.array([rho]), *rest]
 
     for kernel, reference, args, msgs in cases:
         scale = np.max(np.abs([rho, *(m for m, _ in msgs)]), axis=0)
-        new_mean, new_var = np.array([kernel(*draw(args, i)) for i in range(n)]).T
+        draws = [kernel(*draw(args, i)) for i in range(n)]
+        new_mean, new_var = np.array(draws).reshape(n, 2).T
         ref_mean, ref_var = reference(*args)
 
         def within(mean, var, mean_to, var_to, i=slice(None)):
@@ -360,9 +355,9 @@ def _outcome(kernel, *args):
 
 
 def _kernel_draw(rng, kind):
-    """One draw of kernel arguments: Python floats, 0-d arrays, arrays, or
-    negative-stride views of arrays, in one kind for the whole draw."""
-    size = 1 if kind in ("float", "0d") else int(rng.integers(1, 65))
+    """One draw of kernel arguments: arrays or negative-stride views of
+    arrays, in one kind for the whole draw."""
+    size = int(rng.integers(1, 65))
     step = -int(rng.integers(1, 3))  # of the reversed views
     special_q = (0.0, 1.0, 1e-8, 1.0 - 1e-8)
     q = rng.uniform() if rng.uniform() < 0.5 else special_q[rng.integers(0, 4)]
@@ -371,10 +366,6 @@ def _kernel_draw(rng, kind):
     signed_zeros = rng.uniform() < 0.1
 
     def coords(values):
-        if kind == "float":
-            return float(values[0])
-        if kind == "0d":
-            return np.asarray(values[0])
         if kind == "reversed":
             full = np.empty(size * -step)
             full[::step] = values
@@ -396,7 +387,8 @@ def _kernel_draw(rng, kind):
 
 
 # eta_gamma draws on which numpy's scalar square (C pow) and its array square
-# (a product) round differently, and the difference reaches an output
+# (a product) round differently, and the difference reaches an output; the
+# kernels, array-only, must give them an array call's bytes
 POW_SQUARE_CASES = [
     (
         1.5153059275466447,
@@ -419,27 +411,65 @@ POW_SQUARE_CASES = [
 def test_kernels_match_closed_form_byte_for_byte():
     """The in-place kernels against their frozen one-expression forms.
 
-    4,000 draws, a quarter each of Python floats, 0-d arrays, arrays of 1
-    to 64 coordinates and negative-stride views (steps -1 and -2); q
-    uniform or one of 0, 1, 1e-8, 1 - 1e-8, a fifth of the message
-    variances zero, theta, s0 and the other variances log-uniform in
-    [1e-12, 1e12], and rho and the message means up to 1e6 in magnitude
-    (in a tenth of the draws, zeros of either sign); then the pinned
-    scalar draws above.  Output types, shapes and bytes must all agree.
+    2,000 draws, half each of arrays of 1 to 64 coordinates and
+    negative-stride views (steps -1 and -2); q uniform or one of 0, 1,
+    1e-8, 1 - 1e-8, a fifth of the message variances zero, theta, s0 and
+    the other variances log-uniform in [1e-12, 1e12], and rho and the
+    message means up to 1e6 in magnitude (in a tenth of the draws, zeros of
+    either sign); then the pinned draws above as 1-element arrays.  Output
+    types, shapes and bytes must all agree.
     """
     rng = np.random.default_rng(1010)
-    kinds = ("float", "0d", "array", "reversed")
-    for i in range(4000):
-        rho, theta, r2p, l2p, q, s0 = _kernel_draw(rng, kinds[i % 4])
+    kinds = ("array", "reversed")
+    for i in range(2000):
+        rho, theta, r2p, l2p, q, s0 = _kernel_draw(rng, kinds[i % 2])
         for kernel, frozen, args in (
             (phi_zeta, phi_zeta_closed_form, (rho, theta, r2p, q, s0)),
             (eta_gamma, eta_gamma_closed_form, (rho, theta, r2p, l2p, q, s0)),
         ):
             assert _outcome(kernel, *args) == _outcome(frozen, *args), (kernel.__name__, i)
     for rho, r2p, l2p in POW_SQUARE_CASES:
-        for wrap in (float, np.asarray):
-            args = (wrap(rho), 0.37, tuple(map(wrap, r2p)), tuple(map(wrap, l2p)), 0.08, 1.3)
-            assert _outcome(eta_gamma, *args) == _outcome(eta_gamma_closed_form, *args)
+        r2p, l2p = (tuple(np.array([v]) for v in msg) for msg in (r2p, l2p))
+        args = (np.array([rho]), 0.37, r2p, l2p, 0.08, 1.3)
+        assert _outcome(eta_gamma, *args) == _outcome(eta_gamma_closed_form, *args)
+
+
+def test_vector_call_equals_per_index_slices():
+    """One rounding per coordinate: for both kernels, a 1-element call gives
+    the bytes of its coordinate in a vector call.  20,000 coordinates with
+    rho and the message means uniform in [-1, 1] times log-uniform in
+    [1e-3, 1e3] and variances log-uniform in [1e-3, 1e3] (a draw on which
+    scalar and array squares once differed on 4 coordinates), then the
+    pinned draws above."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    rho, r_mean, l_mean = (
+        rng.uniform(-1.0, 1.0, n) * _log_uniform(rng, 1e-3, 1e3, n) for _ in range(3)
+    )
+    r_var, l_var = _log_uniform(rng, 1e-3, 1e3, (2, n))
+    pinned = np.array([(case[0], *case[1], *case[2]) for case in POW_SQUARE_CASES]).T
+    columns = np.concatenate([(rho, r_mean, r_var, l_mean, l_var), pinned], axis=1)
+    rho, r_mean, r_var, l_mean, l_var = columns
+    msgs = (r_mean, r_var), (l_mean, l_var)
+    for kernel, n_msgs in ((phi_zeta, 1), (eta_gamma, 2)):
+        mean_vec, var_vec = kernel(rho, 0.37, *msgs[:n_msgs], 0.08, 1.3)
+        for i in range(rho.size):
+            at = slice(i, i + 1)
+            msgs_i = [(m[at], v[at]) for m, v in msgs[:n_msgs]]
+            m_i, v_i = kernel(rho[at], 0.37, *msgs_i, 0.08, 1.3)
+            assert mean_vec[at].tobytes() == m_i.tobytes(), (kernel.__name__, i)
+            assert var_vec[at].tobytes() == v_i.tobytes(), (kernel.__name__, i)
+
+
+def test_kernels_reject_scalar_rho():
+    """The kernels are array-only: a Python float, a numpy scalar, a 0-d
+    array or a list as rho is a TypeError that names the rule."""
+    msg = (0.0, 1.0)
+    for rho in (0.5, np.float64(0.5), np.asarray(0.5), [0.5]):
+        with pytest.raises(TypeError, match="ndarray with ndim >= 1"):
+            phi_zeta(rho, 1.0, msg, 0.1, 1.0)
+        with pytest.raises(TypeError, match="ndarray with ndim >= 1"):
+            eta_gamma(rho, 1.0, msg, msg, 0.1, 1.0)
 
 
 def test_kernels_take_log_of_zero_weights_without_warning():
@@ -448,7 +478,7 @@ def test_kernels_take_log_of_zero_weights_without_warning():
     form's bytes and emit no warning.  Just above 2**-54 neither log is of 0."""
     rho, r2p, l2p = (0.3, -1.2), ((0.1, 0.0), (0.5, 2.0)), ((-0.4, 1.0), (0.2, 0.0))
     for q in (0.0, 1.0, 2.0**-54, 1e-300, float(np.nextafter(2.0**-54, 1.0))):
-        for wrap in (np.asarray, lambda a: a[0]):
+        for wrap in (np.asarray, lambda a: np.asarray(a[:1])):
             args = (wrap(rho), 0.7, tuple(map(wrap, r2p)), tuple(map(wrap, l2p)), q, 1.3)
             want = [
                 _outcome(phi_zeta_closed_form, *args[:3], q, 1.3),

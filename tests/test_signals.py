@@ -60,6 +60,14 @@ def test_measure_noiseless_is_exact():
     assert np.array_equal(y, op.apply(x))
 
 
+def test_measure_rejects_bad_noise_variance():
+    # a NaN delta used to pass the "delta < 0" check and measure without noise
+    op = make_iid_gaussian(8, 16, 0)
+    for delta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            measure(op, np.zeros(16), delta, 0)
+
+
 def test_measure_noise_variance():
     op = make_subsampled_dct(2000, 2048, 0)
     x = np.zeros(2048)
@@ -97,5 +105,6 @@ def test_spec_validation():
         SignalSpec(1, "gaussian_pwc", 1.0, 0)
     with pytest.raises(ValueError):
         SignalSpec(10, "unknown", 1.0, 0)
-    with pytest.raises(ValueError):
-        SignalSpec(10, "gaussian_pwc", 0.0, 0)
+    for sigma0 in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SignalSpec(10, "gaussian_pwc", sigma0, 0)

@@ -250,11 +250,12 @@ def test_r2p_boundary_pinned_and_shifted():
     mean, var = r2p_update(st0.rho, st0.theta, *st0.r2p, params)
     assert mean[0] == 0.0
     assert var[0] == params.sigma0_sq
-    # each interior entry equals the scalar single-message posterior of
-    # its left neighbor, fed by the previous iteration's message there
+    # each interior entry equals the one-coordinate single-message posterior
+    # of its left neighbor, fed by the previous iteration's message there
     for i in range(1, 5):
-        msg = (st0.r2p[0][i - 1], st0.r2p[1][i - 1])
-        em, ev = phi_zeta(st0.rho[i - 1], st0.theta, msg, params.q, params.sigma0_sq)
+        at = slice(i - 1, i)
+        msg = (st0.r2p[0][at], st0.r2p[1][at])
+        (em,), (ev,) = phi_zeta(st0.rho[at], st0.theta, msg, params.q, params.sigma0_sq)
         assert mean[i] == pytest.approx(em, rel=1e-13)
         assert var[i] == pytest.approx(ev, rel=1e-13)
 
@@ -318,10 +319,12 @@ def test_denoise_matches_scalar_kernel_calls():
     st0 = _random_state(6, 17)
     params = PriorParams(q=0.25, sigma0_sq=0.6)
     mu, sigma_sq, _ = denoise(st0.rho, st0.theta, st0.r2p, st0.l2p, params)
+    # one kernel call per coordinate, on 1-element slices
     for i in range(6):
-        r2p = (st0.r2p[0][i], st0.r2p[1][i])
-        l2p = (st0.l2p[0][i], st0.l2p[1][i])
-        g, v = eta_gamma(st0.rho[i], st0.theta, r2p, l2p, params.q, params.sigma0_sq)
+        at = slice(i, i + 1)
+        r2p = (st0.r2p[0][at], st0.r2p[1][at])
+        l2p = (st0.l2p[0][at], st0.l2p[1][at])
+        (g,), (v,) = eta_gamma(st0.rho[at], st0.theta, r2p, l2p, params.q, params.sigma0_sq)
         assert mu[i] == pytest.approx(g, rel=1e-13, abs=1e-15)
         assert sigma_sq[i] == pytest.approx(v, rel=1e-13)
 
