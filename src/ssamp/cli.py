@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 from dataclasses import asdict
 
@@ -17,27 +18,18 @@ from .harness import (
     SOLVERS,
     ExperimentConfig,
     cell_sizes,
-    convergence_table,
     curve_table,
     emit,
-    make_instance,
     phase_table,
     pt_curve,
     run_convergence,
     run_phase_grid,
     run_runtime,
-    runtime_table,
-    solve_instance,
+    run_single_trial,
 )
 from .operators import KINDS
-from .signals import nmse, save_signal
-
-_DEFAULT_OUT = {
-    "solve": "solve.json",
-    "pt": "pt.csv",
-    "convergence": "convergence.csv",
-    "bench": "bench.csv",
-}
+from .signals import save_signal
+from .solver import DivergenceError
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
@@ -52,8 +44,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=float, help="measurement noise variance")
     p.add_argument("--lambda", type=float, dest="lam", help="TV penalty weight")
     p.add_argument("--beta", type=float, help="damping factor")
-    p.add_argument("--em", action="store_true", default=False,
-                   help="shorthand for --solver ssamp_em")
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", choices=("csv", "json"), dest="fmt",
                    help="output format (default from --out extension)")
@@ -71,30 +61,14 @@ def _load_config(args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    if args.em:
-        if args.solver not in (None, "ssamp_em"):
-            raise ValueError(
-                f"--em means --solver ssamp_em; it conflicts with --solver {args.solver}"
-            )
-        data["solver"] = "ssamp_em"
     return ExperimentConfig.from_dict(data)
-
-
-def _resolve_out(args, command: str):
-    out = args.out or _DEFAULT_OUT[command]
-    fmt = args.fmt
-    if fmt is None:
-        fmt = "json" if str(out).endswith(".json") else "csv"
-    return out, fmt
 
 
 def _progress(message: str):
     print(message, file=sys.stderr, flush=True)
 
 
-def _cmd_solve(args) -> int:
-    config = _load_config(args)
-    out, fmt = _resolve_out(args, "solve")
+def _cmd_solve(config, out, fmt, args) -> int:
     m_over_n = config.grid_m_over_n[0]
     k_over_m = config.grid_k_over_m[0]
     sizes = cell_sizes(config, m_over_n, k_over_m)
@@ -102,10 +76,11 @@ def _cmd_solve(args) -> int:
         raise ValueError("operating point is infeasible at this n")
     m, k = sizes
     _progress(f"solve: n={config.n} m={m} k={k} solver={config.solver}")
-    op, x, y = make_instance(config, m_over_n, k_over_m, m, k, 0)
-    report = solve_instance(config, op, y, k, truth=x, target_nmse=None)
-    err = nmse(x, report.estimate)
-    _progress(f"solve: nmse={err:.3e} iters={report.iters_run}")
+    result = run_single_trial(config, m_over_n, k_over_m, m, k, 0)
+    report = result.report
+    if report is None:
+        raise DivergenceError(result.iters)
+    _progress(f"solve: nmse={result.nmse:.3e} iters={result.iters}")
     if fmt == "csv":
         save_signal(out, report.estimate)
     else:
@@ -114,7 +89,7 @@ def _cmd_solve(args) -> int:
             "m": m,
             "k": k,
             "solver": config.solver,
-            "nmse": err,
+            "nmse": result.nmse,
             "iters_run": report.iters_run,
             "converged": report.converged,
             "final_params": None
@@ -129,10 +104,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_pt(args) -> int:
-    config = _load_config(args)
-    out, fmt = _resolve_out(args, "pt")
-
+def _cmd_pt(config, out, fmt, args) -> int:
     def progress(cell, total, m_over_n, k_over_m):
         _progress(f"pt: cell {cell + 1}/{total} m/n={m_over_n:g} k/m={k_over_m:g}")
 
@@ -145,44 +117,39 @@ def _cmd_pt(args) -> int:
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    config = _load_config(args)
-    out, fmt = _resolve_out(args, "convergence")
-
+def _cmd_convergence(config, out, fmt, args) -> int:
     def progress(case, trial):
         _progress(f"convergence: case {case} trial {trial + 1}/{config.trials}")
 
-    results = run_convergence(config, progress=progress)
-    if len(results) == 1:
-        emit(convergence_table(results[0]), fmt, out)
+    tables = run_convergence(config, progress=progress)
+    if len(tables) == 1:
+        emit(tables[0], fmt, out)
         _progress(f"convergence: wrote {out}")
     else:
-        stem, dot, ext = str(out).rpartition(".")
-        for i, result in enumerate(results):
-            path = f"{stem}_case{i}.{ext}" if dot else f"{out}_case{i}"
-            emit(convergence_table(result), fmt, path)
-            _progress(f"convergence: wrote {path}")
+        # the case number goes before the extension of the file name only
+        path = pathlib.Path(out)
+        for i, table in enumerate(tables):
+            case_path = path.with_name(f"{path.stem}_case{i}{path.suffix}")
+            emit(table, fmt, case_path)
+            _progress(f"convergence: wrote {case_path}")
     return 0
 
 
-def _cmd_bench(args) -> int:
-    config = _load_config(args)
-    out, fmt = _resolve_out(args, "bench")
-
+def _cmd_bench(config, out, fmt, args) -> int:
     def progress(case, trial):
         _progress(f"bench: case {case} trial {trial + 1}/{config.trials}")
 
-    rows = run_runtime(config, progress=progress)
-    emit(runtime_table(rows), fmt, out)
+    emit(run_runtime(config, progress=progress), fmt, out)
     _progress(f"bench: wrote {out}")
     return 0
 
 
+# name: (runner, help, default output)
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "pt": _cmd_pt,
-    "convergence": _cmd_convergence,
-    "bench": _cmd_bench,
+    "solve": (_cmd_solve, "solve one synthetic instance and write the estimate", "solve.json"),
+    "pt": (_cmd_pt, "run a phase-transition success grid", "pt.csv"),
+    "convergence": (_cmd_convergence, "record per-iteration NMSE traces", "convergence.csv"),
+    "bench": (_cmd_bench, "measure wall-clock runtime to a target NMSE", "bench.csv"),
 }
 
 
@@ -192,21 +159,19 @@ def main(argv=None) -> int:
         description="Piecewise-constant compressed sensing benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "solve": "solve one synthetic instance and write the estimate",
-        "pt": "run a phase-transition success grid",
-        "convergence": "record per-iteration NMSE traces",
-        "bench": "measure wall-clock runtime to a target NMSE",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
         if name == "pt":
             p.add_argument("--curve-out", default=None,
                            help="also write the interpolated 50%% boundary")
     args = parser.parse_args(argv)
+    run, _, default_out = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        config = _load_config(args)
+        out = args.out or default_out
+        fmt = args.fmt or ("json" if str(out).endswith(".json") else "csv")
+        return run(config, out, fmt, args)
     except Exception as exc:  # argparse handles its own exits
         print(f"error: {exc}", file=sys.stderr)
         return 1

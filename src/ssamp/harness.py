@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,14 @@ from .operators import (
     make_subsampled_wht,
 )
 from .signals import MODELS, SignalSpec, generate, measure, nmse
-from .solver import DivergenceError, PriorParams, SolverConfig, default_em_params, solve
+from .solver import (
+    DivergenceError,
+    PriorParams,
+    SolveReport,
+    SolverConfig,
+    default_em_params,
+    solve,
+)
 from .tvamp import tvamp_solve
 
 __all__ = [
@@ -42,14 +49,12 @@ __all__ = [
     "ExperimentConfig",
     "PhaseCell",
     "TrialResult",
-    "ConvergenceResult",
     "Table",
     "derive_seed",
     "ratio_key",
     "build_operator",
     "cell_sizes",
     "make_instance",
-    "solve_instance",
     "run_single_trial",
     "run_phase_grid",
     "pt_curve",
@@ -57,8 +62,6 @@ __all__ = [
     "run_runtime",
     "phase_table",
     "curve_table",
-    "convergence_table",
-    "runtime_table",
     "emit",
 ]
 
@@ -167,6 +170,8 @@ class TrialResult:
     iters: int
     seconds: float
     success: bool
+    # the solver's report; None when the solve diverged
+    report: SolveReport | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,6 @@ class PhaseCell:
     @property
     def success_rate(self) -> float:
         return self.successes / self.trials if self.trials else 0.0
-
-
-@dataclass(frozen=True)
-class ConvergenceResult:
-    m_over_n: float
-    k_over_m: float
-    rows: tuple  # (iteration, nmse_db_mean, nmse_db_std)
 
 
 @dataclass(frozen=True)
@@ -255,24 +253,6 @@ def make_instance(
     return op, x, y
 
 
-def solve_instance(config, op, y, k, truth, target_nmse):
-    """Dispatch to the configured solver; returns a SolveReport."""
-    if config.solver == "tvamp":
-        return tvamp_solve(
-            op, y, config.lam, config.solver_config, truth=truth, target_nmse=target_nmse
-        )
-    em = config.solver == "ssamp_em"
-    if config.q is not None:
-        params = PriorParams(config.q, config.sigma0**2, config.delta)
-    elif em:
-        params = default_em_params(op, y, config.delta)
-    else:
-        params = PriorParams(k / (config.n - 1), config.sigma0**2, config.delta)
-    return solve(
-        op, y, params, config.solver_config, truth=truth, target_nmse=target_nmse, em=em
-    )
-
-
 def run_single_trial(
     config: ExperimentConfig,
     m_over_n: float,
@@ -282,13 +262,30 @@ def run_single_trial(
     trial_index: int,
     target_nmse: float | None = None,
 ) -> TrialResult:
+    """Build and solve trial ``trial_index`` of one operating point.  A diverged
+    solve gives NMSE inf, the iteration it diverged at, and no report."""
     op, x, y = make_instance(config, m_over_n, k_over_m, m, k, trial_index)
     t0 = time.perf_counter()
     try:
-        report = solve_instance(config, op, y, k, truth=x, target_nmse=target_nmse)
+        if config.solver == "tvamp":
+            report = tvamp_solve(
+                op, y, config.lam, config.solver_config, truth=x, target_nmse=target_nmse
+            )
+        else:
+            em = config.solver == "ssamp_em"
+            if config.q is not None:
+                params = PriorParams(config.q, config.sigma0**2, config.delta)
+            elif em:
+                params = default_em_params(op, y, config.delta)
+            else:
+                params = PriorParams(k / (config.n - 1), config.sigma0**2, config.delta)
+            report = solve(
+                op, y, params, config.solver_config, truth=x, target_nmse=target_nmse, em=em
+            )
         err = nmse(x, report.estimate)
         iters = report.iters_run
     except DivergenceError as exc:
+        report = None
         err = float("inf")
         iters = exc.iteration
     seconds = time.perf_counter() - t0
@@ -297,6 +294,7 @@ def run_single_trial(
         iters=iters,
         seconds=seconds,
         success=bool(err <= config.success_nmse),
+        report=report,
     )
 
 
@@ -389,41 +387,37 @@ def _paired_cases(config: ExperimentConfig):
     return cases
 
 
-def run_convergence(config: ExperimentConfig, progress=None) -> list[ConvergenceResult]:
-    """Fixed-case NMSE traces: no stopping rule, exactly max_iters sweeps.
+def run_convergence(config: ExperimentConfig, progress=None) -> list[Table]:
+    """Fixed-case NMSE traces, one table per case: no stopping rule,
+    exactly max_iters sweeps.
 
     Trials that reach an exact fixed point early keep their last NMSE for
     the remaining iterations.
     """
-    results = []
+    free_run = replace(config, tol=0.0)
+    tables = []
     for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
-        free_run = replace(config, tol=0.0)
         traces = []
         for t in range(config.trials):
             if progress is not None:
                 progress(case_index, t)
-            op, x, y = make_instance(free_run, m_over_n, k_over_m, m, k, t)
-            report = solve_instance(free_run, op, y, k, truth=x, target_nmse=None)
-            trace = np.asarray(report.nmse_trace)
-            if trace.size < config.max_iters:
-                pad = np.full(config.max_iters - trace.size, trace[-1])
-                trace = np.concatenate([trace, pad])
-            traces.append(trace)
+            result = run_single_trial(free_run, m_over_n, k_over_m, m, k, t)
+            if result.report is None:
+                raise DivergenceError(result.iters)
+            trace = result.report.nmse_trace
+            traces.append(np.pad(trace, (0, config.max_iters - trace.size), mode="edge"))
         stacked_db = np.array([[_nmse_db(v) for v in tr] for tr in traces])
         rows = tuple(
             (it + 1, float(np.mean(stacked_db[:, it])), float(np.std(stacked_db[:, it])))
             for it in range(config.max_iters)
         )
-        results.append(ConvergenceResult(m_over_n=m_over_n, k_over_m=k_over_m, rows=rows))
-    return results
+        tables.append(Table(columns=("iter", "nmse_db_mean", "nmse_db_std"), rows=rows))
+    return tables
 
 
-def run_runtime(config: ExperimentConfig, progress=None) -> list[tuple]:
-    """Wall-clock benchmark: solve to the success_nmse target per trial.
-
-    Rows: (m_over_n, k_over_m, n, trials, mean_iters, mean_seconds,
-    mean_per_iter_seconds).
-    """
+def run_runtime(config: ExperimentConfig, progress=None) -> Table:
+    """Wall-clock benchmark: solve to the success_nmse target per trial,
+    one row per case."""
     rows = []
     for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
         iters = []
@@ -442,7 +436,16 @@ def run_runtime(config: ExperimentConfig, progress=None) -> list[tuple]:
         rows.append(
             (m_over_n, k_over_m, config.n, config.trials, mean_iters, mean_seconds, per_iter)
         )
-    return rows
+    columns = (
+        "m_over_n",
+        "k_over_m",
+        "n",
+        "trials",
+        "mean_iters",
+        "mean_seconds",
+        "mean_per_iter_seconds",
+    )
+    return Table(columns=columns, rows=tuple(rows))
 
 
 def phase_table(cells: Sequence[PhaseCell]) -> Table:
@@ -473,25 +476,6 @@ def curve_table(curve: Sequence[tuple[float, float]]) -> Table:
     return Table(
         columns=("m_over_n", "k_over_m_at_half_success"),
         rows=tuple(curve),
-    )
-
-
-def convergence_table(result: ConvergenceResult) -> Table:
-    return Table(columns=("iter", "nmse_db_mean", "nmse_db_std"), rows=result.rows)
-
-
-def runtime_table(rows: Sequence[tuple]) -> Table:
-    return Table(
-        columns=(
-            "m_over_n",
-            "k_over_m",
-            "n",
-            "trials",
-            "mean_iters",
-            "mean_seconds",
-            "mean_per_iter_seconds",
-        ),
-        rows=tuple(rows),
     )
 
 

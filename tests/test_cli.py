@@ -57,26 +57,25 @@ def test_flag_overrides_config_file(tmp_path):
     assert payload["m"] == 32
 
 
-def test_em_flag_selects_em_solver(tmp_path):
+def test_solver_flag_selects_em_solver(tmp_path):
     out = tmp_path / "r.json"
     cfg = _write_config(
         tmp_path, n=128, grid_m_over_n=[0.5], grid_k_over_m=[0.1], max_iters=300
     )
-    assert main(["solve", cfg, "--em", "--out", str(out)]) == 0
+    assert main(["solve", cfg, "--solver", "ssamp_em", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["solver"] == "ssamp_em"
     assert payload["nmse"] < 1e-4
 
 
-def test_em_flag_conflicts_with_other_solver(tmp_path, capsys):
-    # --em used to overwrite --solver tvamp and run ssamp_em silently
+def test_em_flag_is_gone(tmp_path, capsys):
+    # --solver ssamp_em is the one spelling; --em was a second one that could conflict with it
     out = tmp_path / "r.json"
-    for solver in ("tvamp", "ssamp_oracle"):
-        assert main(["solve", "--n", "64", "--solver", solver, "--em", "--out", str(out)]) == 1
-        assert f"conflicts with --solver {solver}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--n", "64", "--solver", "ssamp_em", "--em", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --em" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["solve", "--n", "64", "--solver", "ssamp_em", "--em", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["solver"] == "ssamp_em"
 
 
 def test_tvamp_with_lambda_flag(tmp_path):
@@ -157,6 +156,35 @@ def test_convergence_multi_case_files(tmp_path):
     assert main(["convergence", cfg, "--out", str(out)]) == 0
     assert (tmp_path / "conv_case0.csv").exists()
     assert (tmp_path / "conv_case1.csv").exists()
+
+
+def test_convergence_multi_case_files_in_dotted_paths(tmp_path, monkeypatch):
+    # the case number goes into the file name, never into a dotted directory
+    cfg = _write_config(
+        tmp_path, n=128, grid_m_over_n=[0.5, 0.6], grid_k_over_m=[0.1, 0.1],
+        trials=1, max_iters=10,
+    )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v1.2").mkdir()
+    for out, written in (("v1.2/trace", "v1.2/trace_case{}"), ("./trace", "trace_case{}")):
+        assert main(["convergence", cfg, "--out", out]) == 0
+        for i in (0, 1):
+            rows = (tmp_path / written.format(i)).read_text().splitlines()
+            assert rows[0] == "iter,nmse_db_mean,nmse_db_std" and len(rows) == 11
+
+
+def test_diverged_trial_is_an_error(tmp_path, capsys):
+    # the TV-AMP instance of test_single_trial_swallows_divergence
+    cfg = _write_config(
+        tmp_path, solver="tvamp", n=200, lam=0.05, tol=0.0,
+        grid_m_over_n=[0.5], grid_k_over_m=[0.1],
+    )
+    for command in ("solve", "convergence"):
+        out = tmp_path / f"{command}.csv"
+        with np.errstate(all="ignore"):
+            assert main([command, cfg, "--out", str(out)]) == 1
+        assert "error: solver state diverged at iteration 1217" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bench_writes_runtime_table(tmp_path):

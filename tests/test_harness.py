@@ -7,13 +7,11 @@ import pytest
 
 import ssamp.harness
 from ssamp.harness import (
-    ConvergenceResult,
     ExperimentConfig,
     PhaseCell,
     Table,
     build_operator,
     cell_sizes,
-    convergence_table,
     curve_table,
     derive_seed,
     emit,
@@ -25,11 +23,10 @@ from ssamp.harness import (
     run_phase_grid,
     run_runtime,
     run_single_trial,
-    runtime_table,
-    solve_instance,
 )
 from ssamp.signals import nmse
-from ssamp.solver import DivergenceError, SolverConfig, default_em_params, solve
+from ssamp.solver import DivergenceError, PriorParams, SolverConfig, default_em_params, solve
+from ssamp.tvamp import tvamp_solve
 
 
 def _cell(m_over_n, k_over_m, successes, trials=10, skipped=False):
@@ -218,10 +215,11 @@ def test_single_trial_swallows_divergence():
         r = run_single_trial(cfg, 0.5, 0.1, 100, 10, 0)
     assert not r.success
     assert r.nmse == float("inf")
+    assert r.report is None
     # the iterations the run made up to its divergence, not max_iters
     op, _, y = make_instance(cfg, 0.5, 0.1, 100, 10, 0)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        solve_instance(cfg, op, y, 10, truth=None, target_nmse=None)
+        tvamp_solve(op, y, cfg.lam, cfg.solver_config)
     assert r.iters == info.value.iteration < 2000
 
 
@@ -241,13 +239,15 @@ def test_make_instance_replays_the_single_trial():
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
     np.testing.assert_array_equal(y, op.apply(x))  # delta = 0
-    report = solve_instance(cfg, op, y, 10, truth=x, target_nmse=None)
+    # the oracle prior: q = k / (n - 1)
+    report = solve(op, y, PriorParams(10 / 199, 1.0), cfg.solver_config, truth=x)
     trial = run_single_trial(cfg, 0.5, 0.1, 100, 10, 3)
     assert trial.iters == report.iters_run
     assert trial.nmse == nmse(x, report.estimate)
+    assert trial.report.estimate.tobytes() == report.estimate.tobytes()
 
 
-def test_solve_instance_em_carries_delta(monkeypatch):
+def test_single_trial_em_carries_delta(monkeypatch):
     # with q unset, EM starts from the scale-derived prior at the configured delta
     starts = []
 
@@ -258,8 +258,8 @@ def test_solve_instance_em_carries_delta(monkeypatch):
     monkeypatch.setattr(ssamp.harness, "solve", recording)
     cfg = ExperimentConfig(n=120, solver="ssamp_em", delta=1e-2, max_iters=20)
     op, x, y = make_instance(cfg, 0.5, 0.1, 60, 6, 0)
-    report = solve_instance(cfg, op, y, 6, truth=x, target_nmse=None)
-    assert starts[-1] == default_em_params(op, y, 1e-2)
+    report = run_single_trial(cfg, 0.5, 0.1, 60, 6, 0).report
+    assert starts == [default_em_params(op, y, 1e-2)]
     assert starts[-1].delta == 1e-2
     assert report.final_params.delta == 1e-2
 
@@ -271,7 +271,7 @@ def test_library_em_solve_matches_the_harness():
     op, x, y = make_instance(cfg, 0.5, 0.1, 150, 15, 0)
     params = default_em_params(op, y, 1e-10)
     library = solve(op, y, params, truth=x, em=True)
-    harness = solve_instance(cfg, op, y, 15, truth=x, target_nmse=None)
+    harness = run_single_trial(cfg, 0.5, 0.1, 150, 15, 0).report
     assert library.iters_run == harness.iters_run
     assert library.converged == harness.converged
     assert library.final_params == harness.final_params
@@ -376,6 +376,7 @@ def test_convergence_trace_shape_and_determinism():
     results = run_convergence(cfg)
     assert len(results) == 1
     res = results[0]
+    assert res.columns == ("iter", "nmse_db_mean", "nmse_db_std")
     assert len(res.rows) == 60
     assert res.rows[0][0] == 1 and res.rows[-1][0] == 60
     again = run_convergence(cfg)[0]
@@ -390,10 +391,10 @@ def test_convergence_free_runs_do_not_stall(monkeypatch):
     reports = []
 
     def recording(*args, **kwargs):
-        reports.append(solve_instance(*args, **kwargs))
+        reports.append(tvamp_solve(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(ssamp.harness, "solve_instance", recording)
+    monkeypatch.setattr(ssamp.harness, "tvamp_solve", recording)
     stopped = [run_single_trial(cfg, 0.5, 0.5, 100, 50, t) for t in range(cfg.trials)]
     assert any(not rep.converged and rep.iters_run < 120 for rep in reports)
     assert [r.iters for r in stopped] == [rep.iters_run for rep in reports]
@@ -435,9 +436,13 @@ def test_runtime_rows_and_consistency():
     cfg = ExperimentConfig(
         n=128, grid_m_over_n=(0.5,), grid_k_over_m=(0.1,), trials=3, max_iters=300
     )
-    rows = run_runtime(cfg)
-    assert len(rows) == 1
-    m_over_n, k_over_m, n, trials, mean_iters, mean_seconds, per_iter = rows[0]
+    table = run_runtime(cfg)
+    assert table.columns == (
+        "m_over_n", "k_over_m", "n", "trials",
+        "mean_iters", "mean_seconds", "mean_per_iter_seconds",
+    )
+    assert len(table.rows) == 1
+    m_over_n, k_over_m, n, trials, mean_iters, mean_seconds, per_iter = table.rows[0]
     assert (m_over_n, k_over_m, n, trials) == (0.5, 0.1, 128, 3)
     assert mean_seconds > 0 and per_iter > 0 and mean_iters > 0
     assert mean_seconds == pytest.approx(mean_iters * per_iter, rel=0.2)
@@ -449,14 +454,14 @@ def test_runtime_iteration_counts_deterministic():
     )
     a = run_runtime(cfg)
     b = run_runtime(cfg)
-    assert a[0][4] == b[0][4]  # mean_iters identical; seconds may differ
+    assert a.rows[0][4] == b.rows[0][4]  # mean_iters identical; seconds may differ
 
 
 def test_runtime_scales_with_problem_size():
     small = ExperimentConfig(n=64, grid_m_over_n=(0.5,), grid_k_over_m=(0.1,), trials=2, max_iters=300)
     large = ExperimentConfig(n=1024, grid_m_over_n=(0.5,), grid_k_over_m=(0.1,), trials=2, max_iters=300)
-    per_small = run_runtime(small)[0][6]
-    per_large = run_runtime(large)[0][6]
+    per_small = run_runtime(small).rows[0][6]
+    per_large = run_runtime(large).rows[0][6]
     assert per_large > per_small
 
 
@@ -474,13 +479,8 @@ def test_phase_table_columns_and_rows():
 
 
 def test_other_table_columns():
+    # the convergence and runtime columns are checked on their runners' tables
     assert curve_table([]).columns == ("m_over_n", "k_over_m_at_half_success")
-    res = ConvergenceResult(0.5, 0.1, ((1, -3.0, 0.1),))
-    assert convergence_table(res).columns == ("iter", "nmse_db_mean", "nmse_db_std")
-    assert runtime_table([]).columns == (
-        "m_over_n", "k_over_m", "n", "trials",
-        "mean_iters", "mean_seconds", "mean_per_iter_seconds",
-    )
 
 
 def test_emit_csv_round_trip_exact(tmp_path):

@@ -21,15 +21,13 @@ import json, sys
 import numpy as np
 import ssamp.cli
 from ssamp import PriorParams, em_update, make_sparse_bernoulli, make_subsampled_dct
-from ssamp.harness import ExperimentConfig, make_instance, solve_instance
+from ssamp.harness import ExperimentConfig, run_single_trial
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 def solve(**fields):
-    cfg = ExperimentConfig(n=64, max_iters=30, **fields)
-    op, x, y = make_instance(cfg, 0.5, 0.1, 32, 3, 0)
-    solve_instance(cfg, op, y, 3, truth=x, target_nmse=None)
+    run_single_trial(ExperimentConfig(n=64, max_iters=30, **fields), 0.5, 0.1, 32, 3, 0)
 """
 
 

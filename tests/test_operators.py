@@ -11,7 +11,6 @@ from ssamp.operators import (
     make_subsampled_dct,
     make_subsampled_wht,
 )
-from ssamp.operators import _ColumnSign
 
 
 def _all_ops(seed=0):
@@ -161,10 +160,13 @@ def test_sign_randomize_twice_restores_action():
 
 
 def test_sign_randomize_with_unit_signs_is_identity_wrapper():
+    # two wraps with one seed flip each column by a unit sign twice: exact in floating point
     base = make_iid_gaussian(24, 48, 8)
-    wrapped = _ColumnSign(base, np.ones(48))
-    x = np.random.default_rng(1).normal(size=48)
-    assert np.array_equal(wrapped.apply(x), base.apply(x))
+    twice = column_sign_randomize(column_sign_randomize(base, 99), 99)
+    rng = np.random.default_rng(1)
+    x, r = rng.normal(size=48), rng.normal(size=24)
+    assert twice.apply(x).tobytes() == base.apply(x).tobytes()
+    assert twice.adjoint(r).tobytes() == base.adjoint(r).tobytes()
 
 
 def test_sign_randomize_metadata():
