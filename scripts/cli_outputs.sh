@@ -7,7 +7,8 @@
 #
 # The bytes depend on the numpy/BLAS build, so the comparison holds only on
 # the build the checksums were recorded with; without --check the script only
-# shows that every command runs.  Set PYTHON to choose the interpreter.
+# shows that every command runs.  The commands' stderr goes to
+# DIR/cli_outputs.log; a failing command also prints its last lines.
 set -eu
 
 check=0
@@ -23,8 +24,13 @@ fi
 here=$(cd "$(dirname "$0")" && pwd)
 mkdir -p "$1"
 cd "$1"
+: > cli_outputs.log
 ssamp() {
-    PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON:-python3}" -m ssamp.cli "$@" 2>/dev/null
+    PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}" python3 -m ssamp.cli "$@" \
+        2>>cli_outputs.log || {
+        tail -n 3 cli_outputs.log >&2
+        return 1
+    }
 }
 
 cat > cfg_pt.json <<'EOF'

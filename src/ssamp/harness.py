@@ -320,10 +320,11 @@ def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
                 )
                 continue
             m, k = sizes
-            results = [
-                run_single_trial(config, m_over_n, k_over_m, m, k, t)
-                for t in range(config.trials)
-            ]
+            successes, iters = 0, []
+            for t in range(config.trials):
+                r = run_single_trial(config, m_over_n, k_over_m, m, k, t)
+                successes += r.success
+                iters.append(r.iters)
             cells.append(
                 PhaseCell(
                     m_over_n=m_over_n,
@@ -331,8 +332,8 @@ def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
                     m=m,
                     k=k,
                     trials=config.trials,
-                    successes=sum(r.success for r in results),
-                    mean_iters=float(np.mean([r.iters for r in results])),
+                    successes=successes,
+                    mean_iters=float(np.mean(iters)),
                 )
             )
     return cells
