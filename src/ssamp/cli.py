@@ -56,10 +56,9 @@ def _load_config(args) -> ExperimentConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-    for key in ("n", "seed_base", "solver", "matrix", "q", "sigma0",
-                "delta", "lam", "beta"):
-        value = getattr(args, key, None)
-        if value is not None:
+    # every flag whose dest names a config field overrides it when given
+    for key, value in vars(args).items():
+        if key in ExperimentConfig.__dataclass_fields__ and value is not None:
             data[key] = value
     return ExperimentConfig.from_dict(data)
 

@@ -80,8 +80,10 @@ class ExperimentConfig:
     and runtime runs read the two lists pairwise as individual cases.
     ``q`` overrides the oracle prior (default: realized k / (n-1)), and
     seeds EM when the EM solver is chosen.  ``beta`` unset damps by the
-    operator's default_beta, for every solver.  The two fast transforms,
-    ``subsampled_dct`` and ``subsampled_wht``, need ``sign_randomize``.
+    operator's default_beta, for every solver.  ``subsampled_dct``,
+    ``subsampled_wht`` and ``quasi_toeplitz`` need ``sign_randomize``;
+    ``subsampled_wht`` needs n a power of two, and ``sparse_bernoulli`` a
+    ``col_weight`` no larger than the m of any grid cell that is run.
     ``band`` unset gives ``quasi_toeplitz`` rows the full band n.
     Construction rejects settings no run can use, and builds
     ``solver_config``, the ``SolverConfig`` each trial hands its solver.
@@ -122,7 +124,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.matrix not in KINDS:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
-        if self.matrix in ("subsampled_dct", "subsampled_wht") and not self.sign_randomize:
+        unsigned_fails = ("subsampled_dct", "subsampled_wht", "quasi_toeplitz")
+        if self.matrix in unsigned_fails and not self.sign_randomize:
             raise ValueError(
                 f"{self.matrix} needs sign_randomize: without column signs AMP "
                 "does not recover even easy points on it"
@@ -151,6 +154,14 @@ class ExperimentConfig:
             raise ValueError("band must be None (full band) or lie in [1, n]")
         if not self.col_weight >= 1:
             raise ValueError("col_weight must be at least 1")
+        if self.matrix == "subsampled_wht" and self.n & (self.n - 1):
+            raise ValueError("subsampled_wht needs n to be a power of two")
+        if self.matrix == "sparse_bernoulli":
+            # skipped cells (cell_sizes None) build no operator
+            sizes = [cell_sizes(self, a, b) for a in self.grid_m_over_n for b in self.grid_k_over_m]
+            m = min((s[0] for s in sizes if s is not None), default=self.col_weight)
+            if m < self.col_weight:
+                raise ValueError(f"col_weight {self.col_weight} exceeds m = {m} of a grid cell")
         object.__setattr__(
             self, "solver_config", SolverConfig(self.max_iters, self.tol, self.beta)
         )

@@ -1,15 +1,18 @@
 """Sensing operators used by the benchmark.
 
-Five ensembles behind one apply/adjoint interface:
+Five ensembles behind one apply/adjoint interface: two stored matrices, and
+three sets of rows of a fast n-point transform.
 
-* ``iid_gaussian``      dense N(0, 1/m) entries
+* ``iid_gaussian``      stored dense N(0, 1/m) entries
 * ``subsampled_dct``    m rows of the orthonormal DCT-II, scaled by sqrt(n/m)
 * ``subsampled_wht``    m rows of the orthonormal Walsh-Hadamard transform
                         (n must be a power of two), scaled by sqrt(n/m)
-* ``quasi_toeplitz``    first m cyclic shifts of one random band row
-* ``sparse_bernoulli``  exactly col_weight signed entries per column
+* ``quasi_toeplitz``    rows 0..m-1 of the circulant of one random band row
+* ``sparse_bernoulli``  stored, exactly col_weight signed entries per column
 
-All ensembles keep expected column squared norms at one.  Construction is
+Expected column squared norms are one, except on quasi-Toeplitz rows: a
+band of b coefficients gives them mean b/n, and b <= n - m leaves the last
+n - m - b + 1 columns zero (to FFT rounding), unmeasured.  Construction is
 deterministic in (shape, seed); apply/adjoint are exact adjoints of each
 other.  ``column_sign_randomize`` wraps any operator with a random +-1
 diagonal on the input side.  scipy is imported by the two ensembles that
@@ -17,6 +20,8 @@ use it, when one is built, so the others run on numpy alone.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +53,11 @@ def _check_shape(m: int, n: int):
 
 
 class LinearOperator:
-    """Base class: an m x n linear map with an exact adjoint."""
+    """Base class: an m x n linear map with an exact adjoint.
+
+    ``apply`` and ``adjoint`` check the vector's shape and hand it to the
+    subclass's ``_apply`` and ``_adjoint``.
+    """
 
     default_beta = 1.0  # AMP residual damping used unless one is configured
 
@@ -59,10 +68,10 @@ class LinearOperator:
         self.kind = kind
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._apply(self._check_vec(x, self.n, "x"))
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._adjoint(self._check_vec(r, self.m, "r"))
 
     def _check_vec(self, v, length, name):
         v = np.asarray(v, dtype=float)
@@ -71,37 +80,37 @@ class LinearOperator:
         return v
 
 
-class _DenseOperator(LinearOperator):
+class _StoredMatrix(LinearOperator):
+    """A dense ndarray or a scipy sparse matrix, kept as ``matrix``."""
+
     def __init__(self, matrix, kind):
         super().__init__(matrix.shape[0], matrix.shape[1], kind)
         self.matrix = matrix
 
-    def apply(self, x):
-        return self.matrix @ self._check_vec(x, self.n, "x")
+    def _apply(self, x):
+        return self.matrix @ x
 
-    def adjoint(self, r):
-        return self.matrix.T @ self._check_vec(r, self.m, "r")
+    def _adjoint(self, r):
+        return self.matrix.T @ r
 
 
-class _SubsampledDct(LinearOperator):
-    def __init__(self, m, n, seed):
-        from scipy.fft import dct, idct
+class _TransformRows(LinearOperator):
+    """``scale`` times rows ``rows`` of the n-point transform ``forward``;
+    the adjoint zero-fills the other rows and applies ``transpose``."""
 
-        super().__init__(m, n, "subsampled_dct")
-        self._dct, self._idct = dct, idct
-        rng = np.random.default_rng(seed)
-        self.rows = np.sort(rng.choice(n, size=m, replace=False))
-        self.scale = np.sqrt(n / m)
+    def __init__(self, n, rows, kind, forward, transpose, scale):
+        super().__init__(len(rows), n, kind)
+        self.rows = rows
+        self.scale = scale
+        self._forward, self._transpose = forward, transpose
 
-    def apply(self, x):
-        x = self._check_vec(x, self.n, "x")
-        return self.scale * self._dct(x, type=2, norm="ortho")[self.rows]
+    def _apply(self, x):
+        return self.scale * self._forward(x)[self.rows]
 
-    def adjoint(self, r):
-        r = self._check_vec(r, self.m, "r")
+    def _adjoint(self, r):
         full = np.zeros(self.n)
         full[self.rows] = r
-        return self.scale * self._idct(full, type=2, norm="ortho")
+        return self.scale * self._transpose(full)
 
 
 def _fwht(x: np.ndarray) -> np.ndarray:
@@ -118,33 +127,11 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return a
 
 
-class _SubsampledWht(LinearOperator):
-    def __init__(self, m, n, seed):
-        if n & (n - 1) != 0:
-            raise ValueError("subsampled_wht needs n to be a power of two")
-        super().__init__(m, n, "subsampled_wht")
-        rng = np.random.default_rng(seed)
-        self.rows = np.sort(rng.choice(n, size=m, replace=False))
-        # sqrt(n/m) row scaling on top of the 1/sqrt(n) orthonormalization
-        self.scale = np.sqrt(n / m) / np.sqrt(n)
+class _QuasiToeplitz(_TransformRows):
+    """Rows 0..m-1 of the circulant whose first row holds b random band
+    coefficients (variance 1/m) and then zeros.
 
-    def apply(self, x):
-        x = self._check_vec(x, self.n, "x")
-        return self.scale * _fwht(x)[self.rows]
-
-    def adjoint(self, r):
-        r = self._check_vec(r, self.m, "r")
-        full = np.zeros(self.n)
-        full[self.rows] = r
-        # the natural-order transform is symmetric, so adjoint = forward
-        return self.scale * _fwht(full)
-
-
-class _QuasiToeplitz(LinearOperator):
-    """Rows are the first m cyclic shifts of one banded random row.
-
-    Only the b band coefficients are random (variance 1/m); storage keeps
-    exactly those b numbers plus their zero-padded FFT workspace.
+    Storage keeps exactly those b numbers plus their zero-padded FFT.
     """
 
     default_beta = 0.5  # undamped AMP is unstable on these shifted rows
@@ -152,49 +139,16 @@ class _QuasiToeplitz(LinearOperator):
     def __init__(self, m, n, band, seed):
         if not 1 <= band <= n:
             raise ValueError("band width must satisfy 1 <= b <= n")
-        super().__init__(m, n, "quasi_toeplitz")
+        _check_shape(m, n)
         rng = np.random.default_rng(seed)
         self.coeffs = rng.normal(0.0, 1.0 / np.sqrt(m), size=band)
         row = np.zeros(n)
         row[:band] = self.coeffs
-        self._row_fft = np.fft.rfft(row)
-
-    def apply(self, x):
-        # y[j] = sum_i row[(i - j) mod n] x[i], j < m  (circular correlation)
-        x = self._check_vec(x, self.n, "x")
-        full = np.fft.irfft(np.fft.rfft(x) * np.conj(self._row_fft), self.n)
-        return full[: self.m]
-
-    def adjoint(self, r):
-        r = self._check_vec(r, self.m, "r")
-        padded = np.zeros(self.n)
-        padded[: self.m] = r
-        return np.fft.irfft(np.fft.rfft(padded) * self._row_fft, self.n)
-
-
-class _SparseBernoulli(LinearOperator):
-    def __init__(self, m, n, col_weight, seed):
-        import scipy.sparse
-
-        if not 1 <= col_weight <= m:
-            raise ValueError("col_weight must satisfy 1 <= col_weight <= m")
-        super().__init__(m, n, "sparse_bernoulli")
-        rng = np.random.default_rng(seed)
-        rows = np.empty((col_weight, n), dtype=np.int64)
-        for i in range(n):
-            rows[:, i] = rng.choice(m, size=col_weight, replace=False)
-        signs = rng.integers(0, 2, size=(col_weight, n)) * 2 - 1
-        data = signs / np.sqrt(col_weight)
-        cols = np.broadcast_to(np.arange(n), (col_weight, n))
-        self._mat = scipy.sparse.csc_matrix(
-            (data.ravel(), (rows.ravel(), cols.ravel())), shape=(m, n)
-        )
-
-    def apply(self, x):
-        return self._mat @ self._check_vec(x, self.n, "x")
-
-    def adjoint(self, r):
-        return self._mat.T @ self._check_vec(r, self.m, "r")
+        row_fft = np.fft.rfft(row)
+        # row j is the band row shifted by j: y[j] = sum_i row[(i - j) mod n] x[i]
+        forward = lambda x: np.fft.irfft(np.fft.rfft(x) * np.conj(row_fft), n)
+        transpose = lambda v: np.fft.irfft(np.fft.rfft(v) * row_fft, n)
+        super().__init__(n, np.arange(m), "quasi_toeplitz", forward, transpose, 1.0)
 
 
 class _ColumnSign(LinearOperator):
@@ -204,26 +158,39 @@ class _ColumnSign(LinearOperator):
         self.signs = signs
         self.default_beta = inner.default_beta
 
-    def apply(self, x):
-        return self.inner.apply(self.signs * self._check_vec(x, self.n, "x"))
+    def _apply(self, x):
+        return self.inner.apply(self.signs * x)
 
-    def adjoint(self, r):
+    def _adjoint(self, r):
         return self.signs * self.inner.adjoint(r)
+
+
+def _random_rows(m: int, n: int, seed: int) -> np.ndarray:
+    _check_shape(m, n)
+    return np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))
 
 
 def make_iid_gaussian(m: int, n: int, seed: int) -> LinearOperator:
     _check_shape(m, n)
     rng = np.random.default_rng(seed)
-    matrix = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
-    return _DenseOperator(matrix, "iid_gaussian")
+    return _StoredMatrix(rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n)), "iid_gaussian")
 
 
 def make_subsampled_dct(m: int, n: int, seed: int) -> LinearOperator:
-    return _SubsampledDct(m, n, seed)
+    from scipy.fft import dct, idct
+
+    rows = _random_rows(m, n, seed)
+    forward, transpose = partial(dct, type=2, norm="ortho"), partial(idct, type=2, norm="ortho")
+    return _TransformRows(n, rows, "subsampled_dct", forward, transpose, np.sqrt(n / m))
 
 
 def make_subsampled_wht(m: int, n: int, seed: int) -> LinearOperator:
-    return _SubsampledWht(m, n, seed)
+    if n & (n - 1) != 0:
+        raise ValueError("subsampled_wht needs n to be a power of two")
+    rows = _random_rows(m, n, seed)
+    # the natural-order transform is symmetric, so it is its own transpose;
+    # sqrt(n/m) row scaling on top of the 1/sqrt(n) orthonormalization
+    return _TransformRows(n, rows, "subsampled_wht", _fwht, _fwht, np.sqrt(n / m) / np.sqrt(n))
 
 
 def make_quasi_toeplitz(m: int, n: int, band: int, seed: int) -> LinearOperator:
@@ -231,7 +198,19 @@ def make_quasi_toeplitz(m: int, n: int, band: int, seed: int) -> LinearOperator:
 
 
 def make_sparse_bernoulli(m: int, n: int, col_weight: int, seed: int) -> LinearOperator:
-    return _SparseBernoulli(m, n, col_weight, seed)
+    import scipy.sparse
+
+    if not 1 <= col_weight <= m:
+        raise ValueError("col_weight must satisfy 1 <= col_weight <= m")
+    rng = np.random.default_rng(seed)
+    rows = np.empty((col_weight, n), dtype=np.int64)
+    for i in range(n):
+        rows[:, i] = rng.choice(m, size=col_weight, replace=False)
+    signs = rng.integers(0, 2, size=(col_weight, n)) * 2 - 1
+    data = signs / np.sqrt(col_weight)
+    cols = np.broadcast_to(np.arange(n), (col_weight, n))
+    matrix = scipy.sparse.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(m, n))
+    return _StoredMatrix(matrix, "sparse_bernoulli")
 
 
 def column_sign_randomize(op: LinearOperator, seed: int) -> LinearOperator:
@@ -243,4 +222,3 @@ def column_sign_randomize(op: LinearOperator, seed: int) -> LinearOperator:
     rng = np.random.default_rng(seed)
     signs = (rng.integers(0, 2, size=op.n) * 2 - 1).astype(float)
     return _ColumnSign(op, signs)
-

@@ -118,9 +118,29 @@ def test_config_rejects_bad_operator_settings():
     # band=0 used to run full-band rows, and the others failed only when a
     # trial built its operator
     for fields in ({"band": 0}, {"band": -3}, {"band": 65}, {"col_weight": 0}):
-        with pytest.raises(ValueError):
-            ExperimentConfig(matrix="quasi_toeplitz", n=64, **fields)
-    assert ExperimentConfig(matrix="quasi_toeplitz", n=64, band=64).band == 64
+        with pytest.raises(ValueError, match="band|col_weight"):
+            ExperimentConfig(matrix="quasi_toeplitz", sign_randomize=True, n=64, **fields)
+    cfg = ExperimentConfig(matrix="quasi_toeplitz", sign_randomize=True, n=64, band=64)
+    assert cfg.band == 64
+
+
+def test_config_rejects_wht_off_power_of_two():
+    # such a config used to pass construction and fail at its first trial
+    with pytest.raises(ValueError, match="power of two"):
+        ExperimentConfig(matrix="subsampled_wht", sign_randomize=True, n=200)
+    assert ExperimentConfig(matrix="subsampled_wht", sign_randomize=True, n=256).n == 256
+
+
+def test_config_rejects_col_weight_above_a_grid_columns_m():
+    # `ssamp pt` on this grid used to run two cells and fail at the third, m = 20
+    grid = dict(n=200, grid_m_over_n=(0.5, 0.1), grid_k_over_m=(0.1, 0.2))
+    with pytest.raises(ValueError, match="col_weight 50 exceeds m = 20"):
+        ExperimentConfig(matrix="sparse_bernoulli", col_weight=50, **grid)
+    assert ExperimentConfig(matrix="sparse_bernoulli", col_weight=20, **grid).col_weight == 20
+    assert ExperimentConfig(col_weight=50, **grid).col_weight == 50  # unused off sparse rows
+    # a column whose cells are all skipped (m < 1) builds no operator
+    skipped = dict(n=200, grid_m_over_n=(0.001, 0.5), grid_k_over_m=(0.1,))
+    assert ExperimentConfig(matrix="sparse_bernoulli", **skipped).col_weight == 8
 
 
 def test_config_rejects_non_integer_counts():
@@ -128,7 +148,9 @@ def test_config_rejects_non_integer_counts():
     for name in ("n", "trials", "seed_base", "max_iters", "band", "col_weight"):
         for value in (64.0, 2e2, True, "64"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                ExperimentConfig(matrix="quasi_toeplitz", **{"n": 256, name: value})
+                ExperimentConfig(
+                    matrix="quasi_toeplitz", sign_randomize=True, **{"n": 256, name: value}
+                )
     cfg = ExperimentConfig(n=np.int64(64), trials=3, seed_base=7, band=None, max_iters=5)
     assert cfg.solver_config.max_iters == 5
     for value in (5.0, False, None):
@@ -138,7 +160,7 @@ def test_config_rejects_non_integer_counts():
 
 def test_config_rejects_unsigned_fast_transforms():
     # without column signs AMP fails every trial on these; say so up front
-    for kind in ("subsampled_dct", "subsampled_wht"):
+    for kind in ("subsampled_dct", "subsampled_wht", "quasi_toeplitz"):
         with pytest.raises(ValueError, match="needs sign_randomize"):
             ExperimentConfig(matrix=kind, n=64)
         assert ExperimentConfig(matrix=kind, n=64, sign_randomize=True).sign_randomize
@@ -166,7 +188,7 @@ def test_build_operator_dispatch():
         "iid_gaussian": {},
         "subsampled_dct": {"sign_randomize": True},
         "subsampled_wht": {"sign_randomize": True},
-        "quasi_toeplitz": {},
+        "quasi_toeplitz": {"sign_randomize": True},
         "sparse_bernoulli": {"col_weight": 4},
     }
     for kind, extra in kinds.items():
@@ -183,10 +205,10 @@ def test_build_operator_dispatch():
 
 
 def test_build_operator_band_default_and_override():
-    cfg = ExperimentConfig(matrix="quasi_toeplitz", n=64)
-    assert build_operator(cfg, 16, 0, 0).coeffs.shape == (64,)
-    cfg = ExperimentConfig(matrix="quasi_toeplitz", n=64, band=16)
-    assert build_operator(cfg, 16, 0, 0).coeffs.shape == (16,)
+    cfg = ExperimentConfig(matrix="quasi_toeplitz", sign_randomize=True, n=64)
+    assert build_operator(cfg, 16, 0, 0).inner.coeffs.shape == (64,)
+    cfg = ExperimentConfig(matrix="quasi_toeplitz", sign_randomize=True, n=64, band=16)
+    assert build_operator(cfg, 16, 0, 0).inner.coeffs.shape == (16,)
 
 
 # ---------------------------------------------------------------- trials & grids

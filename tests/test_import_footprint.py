@@ -49,7 +49,7 @@ def test_cli_and_numpy_only_solves_load_no_scipy():
 seen["import ssamp.cli"] = scipy_modules()
 for matrix, extra in (
     ("iid_gaussian", {}),
-    ("quasi_toeplitz", {}),
+    ("quasi_toeplitz", {"sign_randomize": True}),
     ("subsampled_wht", {"sign_randomize": True}),
 ):
     for solver in ("ssamp_oracle", "tvamp"):

@@ -178,11 +178,13 @@ def test_sign_randomize_metadata():
 
 
 def test_shape_validation():
-    op = make_iid_gaussian(8, 16, 0)
-    with pytest.raises(ValueError):
-        op.apply(np.zeros(15))
-    with pytest.raises(ValueError):
-        op.adjoint(np.zeros(16))
+    for op in _all_ops():
+        for bad in (np.zeros(op.n - 1), np.zeros((1, op.n))):
+            with pytest.raises(ValueError, match="x must have shape"):
+                op.apply(bad)
+        for bad in (np.zeros(op.n), np.zeros((op.m, 1))):
+            with pytest.raises(ValueError, match="r must have shape"):
+                op.adjoint(bad)
     with pytest.raises(ValueError):
         make_iid_gaussian(8, 1, 0)
     with pytest.raises(ValueError):
