@@ -84,7 +84,9 @@ class ExperimentConfig:
     ``subsampled_wht`` and ``quasi_toeplitz`` need ``sign_randomize``;
     ``subsampled_wht`` needs n a power of two, and ``sparse_bernoulli`` a
     ``col_weight`` no larger than the m of any grid cell that is run.
-    ``band`` unset gives ``quasi_toeplitz`` rows the full band n.
+    ``band`` unset gives ``quasi_toeplitz`` rows the full band n; a set
+    ``band`` must exceed n - m at every grid cell that is run, or the
+    rows leave n - m - band + 1 columns unmeasured.
     Construction rejects settings no run can use, and builds
     ``solver_config``, the ``SolverConfig`` each trial hands its solver.
     """
@@ -156,12 +158,16 @@ class ExperimentConfig:
             raise ValueError("col_weight must be at least 1")
         if self.matrix == "subsampled_wht" and self.n & (self.n - 1):
             raise ValueError("subsampled_wht needs n to be a power of two")
-        if self.matrix == "sparse_bernoulli":
-            # skipped cells (cell_sizes None) build no operator
-            sizes = [cell_sizes(self, a, b) for a in self.grid_m_over_n for b in self.grid_k_over_m]
-            m = min((s[0] for s in sizes if s is not None), default=self.col_weight)
-            if m < self.col_weight:
-                raise ValueError(f"col_weight {self.col_weight} exceeds m = {m} of a grid cell")
+        # the smallest m of a cell that builds an operator (cell_sizes None skips one)
+        sizes = [cell_sizes(self, a, b) for a in self.grid_m_over_n for b in self.grid_k_over_m]
+        m = min((s[0] for s in sizes if s is not None), default=self.n)
+        if self.matrix == "sparse_bernoulli" and m < self.col_weight:
+            raise ValueError(f"col_weight {self.col_weight} exceeds m = {m} of a grid cell")
+        if self.matrix == "quasi_toeplitz" and self.band is not None and self.band <= self.n - m:
+            raise ValueError(
+                f"band {self.band} leaves columns unmeasured at m = {m} of a grid cell: "
+                f"it must exceed n - m = {self.n - m}"
+            )
         object.__setattr__(
             self, "solver_config", SolverConfig(self.max_iters, self.tol, self.beta)
         )

@@ -185,8 +185,6 @@ def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
     probability per difference, the posterior jump mean per difference,
     and the shared posterior jump variance.
     """
-    import scipy.special  # loaded by the first EM refresh, not with the package
-
     s = np.diff(np.asarray(rho, dtype=float))
     q, s0 = params.q, params.sigma0_sq
     log_ratio = (
@@ -195,8 +193,10 @@ def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
         + log_gauss(0.0, s, 2.0 * theta)
         - log_gauss(s, 0.0, 2.0 * theta + s0)
     )
-    # pi = 1 / (1 + exp(log_ratio)), stable on both tails
-    pi = scipy.special.expit(-log_ratio)
+    # numpy's logistic: exp overflows to inf on the far positive tail, giving
+    # pi = 0.0 exactly, and underflows to 0 on the far negative tail, giving 1.0
+    with np.errstate(over="ignore"):
+        pi = 1.0 / (1.0 + np.exp(log_ratio))
     gamma_d = s / (2.0 * theta / s0 + 1.0)
     nu = 1.0 / (1.0 / s0 + 1.0 / (2.0 * theta))
     return pi, gamma_d, nu

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ssamp.harness
+from oracles import dense_matrix
 from ssamp.harness import (
     ExperimentConfig,
     PhaseCell,
@@ -24,6 +25,7 @@ from ssamp.harness import (
     run_runtime,
     run_single_trial,
 )
+from ssamp.operators import make_quasi_toeplitz
 from ssamp.signals import nmse
 from ssamp.solver import DivergenceError, PriorParams, SolverConfig, default_em_params, solve
 from ssamp.tvamp import tvamp_solve
@@ -207,8 +209,34 @@ def test_build_operator_dispatch():
 def test_build_operator_band_default_and_override():
     cfg = ExperimentConfig(matrix="quasi_toeplitz", sign_randomize=True, n=64)
     assert build_operator(cfg, 16, 0, 0).inner.coeffs.shape == (64,)
-    cfg = ExperimentConfig(matrix="quasi_toeplitz", sign_randomize=True, n=64, band=16)
-    assert build_operator(cfg, 16, 0, 0).inner.coeffs.shape == (16,)
+    # band 16 exceeds n - m = 6 at the grid's m = 58
+    cfg = ExperimentConfig(
+        matrix="quasi_toeplitz", sign_randomize=True, n=64, band=16, grid_m_over_n=(0.9,)
+    )
+    assert build_operator(cfg, 58, 0, 0).inner.coeffs.shape == (16,)
+
+
+def test_accepted_quasi_toeplitz_bands_measure_every_column():
+    # the first m shifts of a band-b row leave n - m - b + 1 columns zero when
+    # b <= n - m, so a config takes only bands above n - m for every cell's m
+    n = 64
+    for grid in ((0.5,), (0.25, 0.75), (0.9,)):
+        m_min = min(cell_sizes(ExperimentConfig(n=n), g, 0.1)[0] for g in grid)
+        for band in range(1, n + 1):
+            fields = dict(matrix="quasi_toeplitz", sign_randomize=True, n=n, band=band)
+            if band <= n - m_min:
+                with pytest.raises(ValueError, match=f"band {band} leaves columns unmeasured"):
+                    ExperimentConfig(grid_m_over_n=grid, grid_k_over_m=(0.1,), **fields)
+                continue
+            cfg = ExperimentConfig(grid_m_over_n=grid, grid_k_over_m=(0.1,), **fields)
+            for g in grid:
+                m, _ = cell_sizes(cfg, g, 0.1)
+                op = build_operator(cfg, m, band, band + 1)
+                assert np.min(np.sum(dense_matrix(op) ** 2, axis=0)) > 1e-20
+        # the check is tight: the largest rejected band leaves one column zero
+        op = make_quasi_toeplitz(m_min, n, n - m_min, 0)
+        energy = np.sum(dense_matrix(op) ** 2, axis=0)
+        assert np.sum(energy < 1e-20) == 1
 
 
 # ---------------------------------------------------------------- trials & grids

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from ssamp.operators import (
     make_quasi_toeplitz,
     make_subsampled_dct,
 )
-from oracles import dense_matrix, solve_reference, tvamp_solve_reference
+from oracles import dense_matrix, em_oracle, solve_reference, tvamp_solve_reference
 from ssamp.signals import SignalSpec, generate, measure, nmse
 from ssamp.solver import (
     Q_MAX,
@@ -30,6 +31,7 @@ from ssamp.solver import (
     channel_variance,
     default_em_params,
     denoise,
+    em_posteriors,
     em_update,
     r2p_update,
     solve,
@@ -403,6 +405,41 @@ def test_em_update_matches_frozen_reference():
     assert out.q == pytest.approx(EM_Q_NEW, rel=1e-12)
     assert out.sigma0_sq == pytest.approx(EM_S0_NEW, rel=1e-12)
     assert out.delta == 0.3
+
+
+@pytest.mark.parametrize(
+    "theta, s0, q",
+    [(1e-300, 1e308, Q_MIN), (1e-150, 1e150, 1e-6), (1e-3, 1.0, 0.3), (1.0, 1e6, Q_MAX)],
+)
+def test_em_responsibilities_on_both_tails_of_the_logistic(theta, s0, q):
+    """pi = 1 / (1 + exp(L)) for log ratios L from -800 up to L(0), which
+    reaches 718 and overflows exp in the first case, against 60 digits."""
+    # L(s) = a - b s^2 for a jump s; pick s for evenly spaced targets L
+    a = np.log1p(-q) - np.log(q) + 0.5 * (np.log(2.0 * theta + s0) - np.log(2.0 * theta))
+    b = 1.0 / (4.0 * theta) - 1.0 / (2.0 * (2.0 * theta + s0))
+    target = np.linspace(-800.0, a, 161)
+    jumps = np.sqrt((a - target) / b)
+    # interleaved zeros keep every difference exact: +jump, then -jump
+    rho = np.zeros(2 * jumps.size + 1)
+    rho[1::2] = jumps
+    target = np.repeat(target, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pi, _, _ = em_posteriors(rho, theta, PriorParams(q, s0))
+    want = np.array(em_oracle(rho, theta, q, s0, dps=60)[0])
+    # pi inherits the rounding of L, up to a few ulps of its largest
+    # intermediate, as relative error; the logistic adds at most 1e-14
+    s = np.diff(rho)
+    big = abs(np.log(q)) + 0.5 * (
+        abs(np.log(2.0 * theta)) + abs(np.log(2.0 * theta + s0)) + s**2 / (2.0 * theta)
+    )
+    normal = want > 1e-300
+    rel = np.abs(pi[normal] - want[normal]) / want[normal]
+    assert np.all(rel <= 1e-14 + 4.0 * np.finfo(float).eps * big[normal])
+    overflow = target > 712.0  # exp(L) is inf past L = 709.78
+    assert np.all(pi[overflow] == 0.0)
+    assert np.all(want[overflow] < 1e-309)
+    assert np.all(pi[target < -50.0] == 1.0)
 
 
 def test_em_flat_pseudodata_reduces_q():
