@@ -63,23 +63,19 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _progress(message: str):
-    print(message, file=sys.stderr, flush=True)
-
-
-def _cmd_solve(config, out, fmt, args) -> int:
+def _cmd_solve(config, out, fmt, args, progress) -> None:
     m_over_n = config.grid_m_over_n[0]
     k_over_m = config.grid_k_over_m[0]
     sizes = cell_sizes(config, m_over_n, k_over_m)
     if sizes is None:
         raise ValueError("operating point is infeasible at this n")
     m, k = sizes
-    _progress(f"solve: n={config.n} m={m} k={k} solver={config.solver}")
+    progress(f"n={config.n} m={m} k={k} solver={config.solver}")
     result = run_single_trial(config, m_over_n, k_over_m, m, k, 0)
     report = result.report
     if report is None:
         raise DivergenceError(result.iters)
-    _progress(f"solve: nmse={result.nmse:.3e} iters={result.iters}")
+    progress(f"nmse={result.nmse:.3e} iters={result.iters}")
     if fmt == "csv":
         save_signal(out, report.estimate)
     else:
@@ -99,48 +95,35 @@ def _cmd_solve(config, out, fmt, args) -> int:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-    _progress(f"solve: wrote {out}")
-    return 0
+    progress(f"wrote {out}")
 
 
-def _cmd_pt(config, out, fmt, args) -> int:
-    def progress(cell, total, m_over_n, k_over_m):
-        _progress(f"pt: cell {cell + 1}/{total} m/n={m_over_n:g} k/m={k_over_m:g}")
-
-    cells = run_phase_grid(config, progress=progress)
+def _cmd_pt(config, out, fmt, args, progress) -> None:
+    cells = run_phase_grid(config, progress)
     emit(phase_table(cells), fmt, out)
-    _progress(f"pt: wrote {out}")
+    progress(f"wrote {out}")
     if args.curve_out:
         emit(curve_table(pt_curve(cells)), fmt, args.curve_out)
-        _progress(f"pt: wrote {args.curve_out}")
-    return 0
+        progress(f"wrote {args.curve_out}")
 
 
-def _cmd_convergence(config, out, fmt, args) -> int:
-    def progress(case, trial):
-        _progress(f"convergence: case {case} trial {trial + 1}/{config.trials}")
-
-    tables = run_convergence(config, progress=progress)
+def _cmd_convergence(config, out, fmt, args, progress) -> None:
+    tables = run_convergence(config, progress)
     if len(tables) == 1:
         emit(tables[0], fmt, out)
-        _progress(f"convergence: wrote {out}")
+        progress(f"wrote {out}")
     else:
         # the case number goes before the extension of the file name only
         path = pathlib.Path(out)
         for i, table in enumerate(tables):
             case_path = path.with_name(f"{path.stem}_case{i}{path.suffix}")
             emit(table, fmt, case_path)
-            _progress(f"convergence: wrote {case_path}")
-    return 0
+            progress(f"wrote {case_path}")
 
 
-def _cmd_bench(config, out, fmt, args) -> int:
-    def progress(case, trial):
-        _progress(f"bench: case {case} trial {trial + 1}/{config.trials}")
-
-    emit(run_runtime(config, progress=progress), fmt, out)
-    _progress(f"bench: wrote {out}")
-    return 0
+def _cmd_bench(config, out, fmt, args, progress) -> None:
+    emit(run_runtime(config, progress), fmt, out)
+    progress(f"wrote {out}")
 
 
 # name: (runner, help, default output)
@@ -166,14 +149,19 @@ def main(argv=None) -> int:
                            help="also write the interpolated 50%% boundary")
     args = parser.parse_args(argv)
     run, _, default_out = _COMMANDS[args.command]
+
+    def progress(text: str):
+        print(f"{args.command}: {text}", file=sys.stderr, flush=True)
+
     try:
         config = _load_config(args)
         out = args.out or default_out
         fmt = args.fmt or ("json" if str(out).endswith(".json") else "csv")
-        return run(config, out, fmt, args)
+        run(config, out, fmt, args, progress)
     except Exception as exc:  # argparse handles its own exits
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

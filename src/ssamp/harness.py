@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -112,16 +112,30 @@ class ExperimentConfig:
     sign_randomize: bool = False
 
     def __post_init__(self):
-        # max_iters is checked by the SolverConfig built below
-        for name in ("n", "trials", "seed_base", "col_weight", "band"):
+        # max_iters is checked by the SolverConfig built below.  A JSON 64.0 or 2e2
+        # is a float, not an integer; bool is an int subclass, so true is no number.
+        # A negative seed_base would fail only in the first trial's SeedSequence.
+        lowest = {"n": 2, "trials": 1, "seed_base": 0, "col_weight": 1, "band": 1}
+        for name in (*lowest, "delta", "success_nmse", "sigma0", "q", "lam", "beta", "tol"):
             value = getattr(self, name)
-            if name == "band" and value is None:
-                continue  # the full band
-            # a JSON 64.0 or 2e2 is a float; bool is an int subclass
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        object.__setattr__(self, "grid_m_over_n", tuple(self.grid_m_over_n))
-        object.__setattr__(self, "grid_k_over_m", tuple(self.grid_k_over_m))
+            if value is None and name in ("band", "q", "beta"):
+                continue  # unset: the full band, the realized k / (n-1), default_beta
+            kind = numbers.Integral if name in lowest else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if name in lowest else "a number"
+                raise ValueError(f"{name} must be {what}, not {value!r}")
+            if name in lowest and value < lowest[name]:
+                raise ValueError(f"{name} must be at least {lowest[name]}")
+        if not isinstance(self.sign_randomize, bool):
+            raise ValueError(f"sign_randomize must be true or false, not {self.sign_randomize!r}")
+        for name in ("grid_m_over_n", "grid_k_over_m"):
+            grid = getattr(self, name)
+            if not isinstance(grid, Sequence) or not grid or any(
+                isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 < v <= 1.0
+                for v in grid
+            ):
+                raise ValueError(f"{name} must be a list of numbers in (0, 1], not {grid!r}")
+            object.__setattr__(self, name, tuple(grid))
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.matrix not in KINDS:
@@ -134,13 +148,6 @@ class ExperimentConfig:
             )
         if self.signal_model not in MODELS:
             raise ValueError(f"unknown signal model {self.signal_model!r}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        for g in (self.grid_m_over_n, self.grid_k_over_m):
-            if not g or any(not 0.0 < v <= 1.0 for v in g):
-                raise ValueError("grid values must lie in (0, 1]")
         # the negated comparisons reject NaN too, and the upper bounds infinity
         if not 0.0 <= self.delta < np.inf:
             raise ValueError("delta must be nonnegative and finite")
@@ -152,10 +159,8 @@ class ExperimentConfig:
             raise ValueError("lam must be positive and finite")
         if not 0.0 <= self.success_nmse < np.inf:
             raise ValueError("success_nmse must be nonnegative and finite")
-        if self.band is not None and not 1 <= self.band <= self.n:
-            raise ValueError("band must be None (full band) or lie in [1, n]")
-        if not self.col_weight >= 1:
-            raise ValueError("col_weight must be at least 1")
+        if self.band is not None and self.band > self.n:
+            raise ValueError("band must be None (full band) or at most n")
         if self.matrix == "subsampled_wht" and self.n & (self.n - 1):
             raise ValueError("subsampled_wht needs n to be a power of two")
         # the smallest m of a cell that builds an operator (cell_sizes None skips one)
@@ -193,18 +198,15 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class PhaseCell:
+    """One ``pt`` grid cell, its fields the columns of its CSV row.  A cell whose
+    sizes are infeasible (see cell_sizes) ran no trials and reads all zeros."""
+
     m_over_n: float
     k_over_m: float
-    m: int
-    k: int
     trials: int
     successes: int
+    success_rate: float
     mean_iters: float
-    skipped: bool = False
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
 
 
 @dataclass(frozen=True)
@@ -316,43 +318,28 @@ def run_single_trial(
 
 
 def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
-    """Sweep the full (m_over_n, k_over_m) grid.
+    """Sweep the full (m_over_n, k_over_m) grid, calling ``progress(text)`` per cell.
 
     Cells whose derived sizes are infeasible (see cell_sizes) are emitted
-    with zero sizes, zero trials and the skipped flag instead of aborting
-    the sweep.
+    with zero trials instead of aborting the sweep.
     """
     cells = []
-    n_k = len(config.grid_k_over_m)
-    total = len(config.grid_m_over_n) * n_k
-    for i, m_over_n in enumerate(config.grid_m_over_n):
-        for j, k_over_m in enumerate(config.grid_k_over_m):
-            cell_index = i * n_k + j
+    total = len(config.grid_m_over_n) * len(config.grid_k_over_m)
+    for m_over_n in config.grid_m_over_n:
+        for k_over_m in config.grid_k_over_m:
             if progress is not None:
-                progress(cell_index, total, m_over_n, k_over_m)
+                progress(f"cell {len(cells) + 1}/{total} m/n={m_over_n:g} k/m={k_over_m:g}")
             sizes = cell_sizes(config, m_over_n, k_over_m)
             if sizes is None:
-                cells.append(
-                    PhaseCell(m_over_n, k_over_m, 0, 0, 0, 0, 0.0, skipped=True)
-                )
+                cells.append(PhaseCell(m_over_n, k_over_m, 0, 0, 0.0, 0.0))
                 continue
-            m, k = sizes
             successes, iters = 0, []
             for t in range(config.trials):
-                r = run_single_trial(config, m_over_n, k_over_m, m, k, t)
+                r = run_single_trial(config, m_over_n, k_over_m, *sizes, t)
                 successes += r.success
                 iters.append(r.iters)
-            cells.append(
-                PhaseCell(
-                    m_over_n=m_over_n,
-                    k_over_m=k_over_m,
-                    m=m,
-                    k=k,
-                    trials=config.trials,
-                    successes=successes,
-                    mean_iters=float(np.mean(iters)),
-                )
-            )
+            rate, mean_iters = successes / config.trials, float(np.mean(iters))
+            cells.append(PhaseCell(m_over_n, k_over_m, config.trials, successes, rate, mean_iters))
     return cells
 
 
@@ -365,7 +352,7 @@ def pt_curve(cells: Sequence[PhaseCell]) -> list[tuple[float, float]]:
     """
     columns: dict[float, list[PhaseCell]] = {}
     for cell in cells:
-        if not cell.skipped:
+        if cell.trials:  # an infeasible cell has no success rate
             columns.setdefault(cell.m_over_n, []).append(cell)
     curve = []
     for m_over_n in sorted(columns):
@@ -389,7 +376,7 @@ def _nmse_db(value: float) -> float:
 
 
 def _paired_cases(config: ExperimentConfig):
-    """(m_over_n, k_over_m, m, k) per case, reading the two grids pairwise."""
+    """("case i/N", (m_over_n, k_over_m, m, k)) per case, reading the two grids pairwise."""
     if len(config.grid_m_over_n) != len(config.grid_k_over_m):
         raise ValueError(
             "convergence/runtime runs read the grids pairwise; lengths must match"
@@ -402,7 +389,7 @@ def _paired_cases(config: ExperimentConfig):
                 f"case (m/n={m_over_n}, k/m={k_over_m}) is infeasible at n={config.n}"
             )
         cases.append((m_over_n, k_over_m, *sizes))
-    return cases
+    return [(f"case {i}/{len(cases)}", case) for i, case in enumerate(cases, 1)]
 
 
 def run_convergence(config: ExperimentConfig, progress=None) -> list[Table]:
@@ -414,11 +401,11 @@ def run_convergence(config: ExperimentConfig, progress=None) -> list[Table]:
     """
     free_run = replace(config, tol=0.0)
     tables = []
-    for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
+    for case, (m_over_n, k_over_m, m, k) in _paired_cases(config):
         traces = []
         for t in range(config.trials):
             if progress is not None:
-                progress(case_index, t)
+                progress(f"{case} trial {t + 1}/{config.trials}")
             result = run_single_trial(free_run, m_over_n, k_over_m, m, k, t)
             if result.report is None:
                 raise DivergenceError(result.iters)
@@ -437,12 +424,12 @@ def run_runtime(config: ExperimentConfig, progress=None) -> Table:
     """Wall-clock benchmark: solve to the success_nmse target per trial,
     one row per case."""
     rows = []
-    for case_index, (m_over_n, k_over_m, m, k) in enumerate(_paired_cases(config)):
+    for case, (m_over_n, k_over_m, m, k) in _paired_cases(config):
         iters = []
         seconds = []
         for t in range(config.trials):
             if progress is not None:
-                progress(case_index, t)
+                progress(f"{case} trial {t + 1}/{config.trials}")
             result = run_single_trial(
                 config, m_over_n, k_over_m, m, k, t, target_nmse=config.success_nmse
             )
@@ -450,7 +437,7 @@ def run_runtime(config: ExperimentConfig, progress=None) -> Table:
             seconds.append(result.seconds)
         mean_iters = float(np.mean(iters))
         mean_seconds = float(np.mean(seconds))
-        per_iter = float(np.mean([s / i for s, i in zip(seconds, iters) if i > 0]))
+        per_iter = float(np.mean([s / i for s, i in zip(seconds, iters)]))  # every i >= 1
         rows.append(
             (m_over_n, k_over_m, config.n, config.trials, mean_iters, mean_seconds, per_iter)
         )
@@ -467,27 +454,7 @@ def run_runtime(config: ExperimentConfig, progress=None) -> Table:
 
 
 def phase_table(cells: Sequence[PhaseCell]) -> Table:
-    return Table(
-        columns=(
-            "m_over_n",
-            "k_over_m",
-            "trials",
-            "successes",
-            "success_rate",
-            "mean_iters",
-        ),
-        rows=tuple(
-            (
-                c.m_over_n,
-                c.k_over_m,
-                c.trials,
-                c.successes,
-                c.success_rate,
-                c.mean_iters,
-            )
-            for c in cells
-        ),
-    )
+    return Table(tuple(f.name for f in fields(PhaseCell)), tuple(map(astuple, cells)))
 
 
 def curve_table(curve: Sequence[tuple[float, float]]) -> Table:
@@ -506,8 +473,6 @@ def _json_default(value):
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")

@@ -214,17 +214,20 @@ def test_unknown_config_key_errors(tmp_path, capsys):
 
 def test_non_integer_config_fields_error_before_any_run(tmp_path, capsys):
     # these built an instance and then failed with "'float' object cannot be
-    # interpreted as an integer"
+    # interpreted as an integer"; a negative seed base failed in SeedSequence
+    # after the first pt cell had started
     out = tmp_path / "x.json"
-    for command, fields, name in (
-        ("solve", {"n": 64, "max_iters": 2e2}, "max_iters"),
-        ("solve", {"n": 64.0}, "n"),
-        ("pt", {"n": 64, "grid_m_over_n": [0.5], "grid_k_over_m": [0.1], "trials": 2.0}, "trials"),
+    for command, fields, message in (
+        ("solve", {"n": 64, "max_iters": 2e2}, "max_iters must be an integer"),
+        ("solve", {"n": 64.0}, "n must be an integer"),
+        ("pt", {"n": 64, "grid_m_over_n": [0.5], "grid_k_over_m": [0.1], "trials": 2.0},
+         "trials must be an integer"),
+        ("pt", {"n": 64, "seed_base": -1}, "seed_base must be at least 0"),
     ):
         cfg = _write_config(tmp_path, **fields)
         assert main([command, cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"error: {name} must be an integer" in err
+        assert f"error: {message}" in err
         assert f"{command}: " not in err  # rejected before any progress line
     assert not out.exists()
 
@@ -241,6 +244,34 @@ def test_progress_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "solve:" in captured.err
     assert captured.out == ""
+
+
+def test_pt_writes_infeasible_cells_as_zero_rows(tmp_path, capsys):
+    # m = round(0.1 * 4) = 0 leaves the m/n = 0.1 cells without a trial
+    cfg = _write_config(
+        tmp_path, n=4, grid_m_over_n=[0.1, 0.5], grid_k_over_m=[0.5, 1.0],
+        trials=1, max_iters=20,
+    )
+    out, curve_out = tmp_path / "grid.csv", tmp_path / "curve.csv"
+    assert main(["pt", cfg, "--out", str(out), "--curve-out", str(curve_out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[1:3] == ["0.10000000000000001,0.5,0,0,0,0", "0.10000000000000001,1,0,0,0,0"]
+    assert [r.split(",")[2] for r in rows[3:]] == ["1", "1"]
+    assert curve_out.read_text() == "m_over_n,k_over_m_at_half_success\n"
+    assert "pt: cell 1/4 m/n=0.1 k/m=0.5\n" in capsys.readouterr().err
+
+
+def test_paired_case_progress_counts_from_one(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, n=64, grid_m_over_n=[0.5, 0.4], grid_k_over_m=[0.1, 0.1],
+        trials=2, max_iters=20,
+    )
+    for command in ("convergence", "bench"):
+        assert main([command, cfg, "--out", str(tmp_path / f"{command}.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:4] == [
+            f"{command}: case {c}/2 trial {t}/2" for c in (1, 2) for t in (1, 2)
+        ]
 
 
 def test_readme_configs_are_valid():

@@ -31,17 +31,10 @@ from ssamp.solver import DivergenceError, PriorParams, SolverConfig, default_em_
 from ssamp.tvamp import tvamp_solve
 
 
-def _cell(m_over_n, k_over_m, successes, trials=10, skipped=False):
-    return PhaseCell(
-        m_over_n=m_over_n,
-        k_over_m=k_over_m,
-        m=int(100 * m_over_n),
-        k=int(100 * m_over_n * k_over_m),
-        trials=0 if skipped else trials,
-        successes=successes,
-        mean_iters=0.0,
-        skipped=skipped,
-    )
+def _cell(m_over_n, k_over_m, successes, trials=10):
+    # trials=0 stands for a cell with infeasible sizes
+    rate = successes / trials if trials else 0.0
+    return PhaseCell(m_over_n, k_over_m, trials, successes, rate, 0.0)
 
 
 # ---------------------------------------------------------------- seeds
@@ -83,6 +76,24 @@ def test_config_validation():
         ExperimentConfig(grid_m_over_n=(0.0, 0.5))
     with pytest.raises(ValueError):
         ExperimentConfig(grid_k_over_m=(1.2,))
+    # a JSON true or "false" passed as 1.0 or as a truthy sign flag
+    for name in ("delta", "success_nmse", "sigma0", "q", "lam", "beta", "tol"):
+        for value in (True, "0.5", None):
+            if value is None and name in ("q", "beta"):
+                continue  # unset
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                ExperimentConfig(**{name: value})
+    for value in ("false", 1, None):
+        with pytest.raises(ValueError, match="sign_randomize must be true or false"):
+            ExperimentConfig(sign_randomize=value)
+    for name in ("grid_m_over_n", "grid_k_over_m"):
+        for value in ((True,), 0.5, "0.5", (0.5, "0.1")):
+            with pytest.raises(ValueError, match=f"{name} must be a list of numbers"):
+                ExperimentConfig(**{name: value})
+    with pytest.raises(ValueError, match="seed_base must be at least 0"):
+        ExperimentConfig(seed_base=-1)
+    cfg = ExperimentConfig(grid_m_over_n=[np.float64(0.5), 1], q=np.float64(0.1), lam=2)
+    assert cfg.grid_m_over_n == (0.5, 1) and cfg.q == 0.1
 
 
 def test_config_rejects_bad_solver_settings():
@@ -346,16 +357,21 @@ def test_phase_grid_cells_survive_grid_permutation():
 def test_phase_grid_skips_infeasible_cells():
     cfg = ExperimentConfig(n=4, grid_m_over_n=(0.1, 1.0), grid_k_over_m=(1.0,), trials=1)
     cells = run_phase_grid(cfg)
-    # m = round(0.4) = 0 -> skipped; m=4, k=4 > n-1 -> skipped
-    assert [c.skipped for c in cells] == [True, True]
-    assert all(c.trials == 0 and c.success_rate == 0.0 for c in cells)
+    # m = round(0.4) = 0 and m=4, k=4 > n-1: both run no trials
+    assert cells == [PhaseCell(0.1, 1.0, 0, 0, 0.0, 0.0), PhaseCell(1.0, 1.0, 0, 0, 0.0, 0.0)]
 
 
-def test_phase_grid_rounding_of_m_and_k():
+def test_phase_grid_rounding_of_m_and_k(monkeypatch):
     cfg = ExperimentConfig(n=250, grid_m_over_n=(0.3,), grid_k_over_m=(0.26,), trials=1, max_iters=50)
+    sizes = []
+
+    def recording(config, m_over_n, k_over_m, m, k, *rest):
+        sizes.append((m, k))
+        return run_single_trial(config, m_over_n, k_over_m, m, k, *rest)
+
+    monkeypatch.setattr(ssamp.harness, "run_single_trial", recording)
     cell = run_phase_grid(cfg)[0]
-    assert cell.m == 75  # round(0.3 * 250)
-    assert cell.k == 20  # round(0.26 * 75)
+    assert sizes == [(75, 20)]  # round(0.3 * 250), round(0.26 * 75)
     assert cell.trials == 1
 
 
@@ -396,10 +412,10 @@ def test_pt_curve_interpolates_within_bracketing_rows():
 def test_pt_curve_ignores_skipped_cells():
     cells = [
         _cell(0.5, 0.1, 10),
-        _cell(0.5, 0.15, 0, skipped=True),
+        _cell(0.5, 0.15, 0, trials=0),
         _cell(0.5, 0.2, 0),
     ]
-    # the skipped row must not participate in bracketing
+    # the infeasible row must not participate in bracketing
     curve = pt_curve(cells)
     assert curve == [(0.5, pytest.approx(0.15))]
 
@@ -535,7 +551,7 @@ def test_other_table_columns():
 
 def test_emit_csv_round_trip_exact(tmp_path):
     rows = ((1 / 3, 0.1, 20, 17, 0.85, 33.25), (0.30000000000000004, 0.9, 20, 0, 0.0, 2000.0))
-    table = phase_table([PhaseCell(r[0], r[1], 1, 1, r[2], r[3], r[5]) for r in rows])
+    table = phase_table([PhaseCell(*r) for r in rows])
     path = tmp_path / "t.csv"
     emit(table, "csv", path)
     with open(path, newline="") as fh:
