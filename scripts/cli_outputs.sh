@@ -4,7 +4,9 @@
 # column-signed WHT solve.
 #
 #   scripts/cli_outputs.sh DIR            write the 17 files into DIR
-#   scripts/cli_outputs.sh --check DIR    also compare them with cli_outputs.sha256
+#   scripts/cli_outputs.sh --check DIR    also compare them with cli_outputs.sha256,
+#                                         and fail on a pt_*, curve_*, conv_* or
+#                                         solve_* file in DIR that it does not list
 #
 # The bytes depend on the numpy/BLAS build, so the comparison holds only on
 # the build the checksums were recorded with; without --check the script only
@@ -54,5 +56,13 @@ ssamp pt cfg_pt_signed.json --matrix quasi_toeplitz --out pt_quasi_toeplitz.csv
 ssamp solve cfg_signed.json --n 256 --matrix subsampled_wht --out solve_subsampled_wht.json
 
 if [ "$check" -eq 1 ]; then
+    unlisted=0
+    for f in pt_* curve_* conv_* solve_*; do
+        if [ -e "$f" ] && ! cut -d' ' -f3 "$here/cli_outputs.sha256" | grep -qxF "$f"; then
+            echo "$f: not listed in cli_outputs.sha256" >&2
+            unlisted=1
+        fi
+    done
     sha256sum -c "$here/cli_outputs.sha256"
+    exit "$unlisted"
 fi

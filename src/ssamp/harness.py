@@ -359,13 +359,8 @@ def pt_curve(cells: Sequence[PhaseCell]) -> list[tuple[float, float]]:
         col = sorted(columns[m_over_n], key=lambda c: c.k_over_m)
         for lo, hi in zip(col, col[1:]):
             r0, r1 = lo.success_rate, hi.success_rate
-            if r0 >= 0.5 > r1:
-                if r0 == 0.5:
-                    k_star = lo.k_over_m
-                else:
-                    k_star = lo.k_over_m + (0.5 - r0) * (hi.k_over_m - lo.k_over_m) / (
-                        r1 - r0
-                    )
+            if r0 >= 0.5 > r1:  # at r0 = 0.5 this adds a signed zero to lo.k_over_m
+                k_star = lo.k_over_m + (0.5 - r0) * (hi.k_over_m - lo.k_over_m) / (r1 - r0)
                 curve.append((m_over_n, k_star))
                 break
     return curve

@@ -3,24 +3,19 @@
 ``amp_loop`` is the AMP iteration, shared with the TV baseline, which
 passes another denoiser: pseudodata rho = H^T r + mu, the denoiser, and
 the residual with the Onsager correction (N/M) <eta'>, damped by beta.
+The loop hands the denoiser the residual energy ||r||^2 / m too (the AMP
+noise estimate of Donoho, Maleki & Montanari, PNAS 2009).
 
-The chain denoiser (``ChainDenoiser``) holds the chain state as plain
-attributes (coordinate variances ``sigma_sq``, the ``r2p``/``l2p``
-messages as (mean, var) pairs, the last ``theta`` and the prior
-``params``) and does per call, in order:
+The chain denoiser (``ChainDenoiser``) does per call, in order:
 
 1. the shared channel variance theta: delta plus the running coordinate
-   variances over m, or with EM the residual energy ||r||^2 / m (the AMP
-   noise estimate of Donoho, Maleki & Montanari, PNAS 2009)
+   variances over m, or with EM the residual energy
 2. rightward message update along the difference chain (Jacobi: reads the
    previous iteration's messages)
 3. leftward message update: the rightward update on reversed views
 4. coordinate denoising through the spike-and-slab mixture posterior
 5. optional expectation-maximization refresh of (q, sigma0_sq), used from
    the next call on
-
-Messages at the two chain ends have no upstream neighbor and stay pinned
-at mean zero and the slab variance.
 """
 
 from __future__ import annotations
@@ -44,10 +39,7 @@ __all__ = [
     "THETA_FLOOR",
     "STALL_WINDOW",
     "STALL_BAND",
-    "channel_variance",
     "r2p_update",
-    "denoise",
-    "update_residual",
     "em_posteriors",
     "em_update",
     "default_em_params",
@@ -105,8 +97,15 @@ class SolverConfig:
     damping_beta: float | None = None  # None: the operator's default_beta
 
     def __post_init__(self):
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, not {self.max_iters!r}")
+        # bool is an int subclass, so True is no number
+        for name, kind, what in (
+            ("max_iters", numbers.Integral, "an integer"),
+            ("tol", numbers.Real, "a number"),
+            ("damping_beta", (numbers.Real, type(None)), "a number"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol >= 0.0:  # rejects NaN too
@@ -124,18 +123,6 @@ class SolveReport:
     nmse_trace: np.ndarray | None = None
 
 
-def channel_variance(
-    sigma_sq: np.ndarray, r: np.ndarray, m: int, params: PriorParams, em: bool
-) -> float:
-    """The shared pseudodata channel variance theta, floored at THETA_FLOOR:
-    ||r||^2 / m with EM, delta + sum(sigma_sq) / m without."""
-    if em:
-        theta = float(r @ r) / m
-    else:
-        theta = params.delta + float(sigma_sq.sum()) / m
-    return max(theta, THETA_FLOOR)
-
-
 def r2p_update(
     rho: np.ndarray, theta: float, mean: np.ndarray, var: np.ndarray, params: PriorParams
 ):
@@ -143,38 +130,15 @@ def r2p_update(
 
     Coordinate i receives the single-message posterior of coordinate i-1,
     which fuses rho[i-1] with the previous iteration's rightward message
-    there.  The first coordinate keeps the pinned boundary message.  On
-    reversed views of rho and the leftward messages it gives the leftward
-    messages, reversed.
+    there.  The first coordinate has no upstream neighbor: its message
+    stays pinned at mean zero and the slab variance.  On reversed views of
+    rho and the leftward messages it gives the leftward messages, reversed.
     """
     s0 = params.sigma0_sq
     out = np.empty((2, len(rho)))
     out[0, 0], out[1, 0] = 0.0, s0
     out[0, 1:], out[1, 1:] = phi_zeta(rho[:-1], theta, (mean[:-1], var[:-1]), params.q, s0)
     return out[0], out[1]
-
-
-def denoise(rho: np.ndarray, theta: float, r2p, l2p, params: PriorParams):
-    """Coordinate posterior moments and the mean denoiser derivative, from
-    the (mean, var) message pairs r2p and l2p."""
-    mu, sigma_sq = eta_gamma(rho, theta, r2p, l2p, params.q, params.sigma0_sq)
-    mean_eta_prime = float(sigma_sq.sum()) / sigma_sq.size / theta
-    return mu, sigma_sq, mean_eta_prime
-
-
-def update_residual(
-    op: LinearOperator,
-    y: np.ndarray,
-    mu: np.ndarray,
-    r: np.ndarray,
-    onsager: float,
-    beta: float,
-) -> np.ndarray:
-    """Onsager-corrected residual of estimate mu, damped toward the previous r."""
-    candidate = y - op.apply(mu) + r * (op.n / op.m) * onsager
-    if beta == 1.0:  # 0 r, with r finite, could change no more than the sign of a zero
-        return candidate
-    return (1.0 - beta) * r + beta * candidate
 
 
 def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
@@ -237,16 +201,17 @@ def amp_loop(
     truth: np.ndarray | None = None,
     target_nmse: float | None = None,
 ) -> SolveReport:
-    """Run AMP around ``denoiser(rho, r) -> (mu, onsager)`` from mu = 0, r = y.
+    """Run AMP around ``denoiser(rho, energy) -> (mu, onsager)`` from mu = 0, r = y.
 
-    The residual is damped by the config's damping_beta, or by the
+    ``energy`` is ||r||^2 / m of the residual behind rho, ||y||^2 / m at
+    first.  The residual is damped by the config's damping_beta, or by the
     operator's default_beta when that is unset.  Converges when an nmse
     target against ``truth`` is met, or when ||mu_new - mu||^2 / ||mu||^2
     drops to tol (from mu = 0, only a zero step).  With tol > 0, stops
-    unconverged once the last STALL_WINDOW + 1 residual energies
-    ||r||^2 / m lie within a factor 1 + STALL_BAND.  Raises DivergenceError
-    at the iteration where the denoiser rejects its input or mu or r stop
-    being finite.  final_params is left None.
+    unconverged once the last STALL_WINDOW + 1 residual energies lie
+    within a factor 1 + STALL_BAND.  Raises DivergenceError at the
+    iteration where the denoiser rejects its input or mu or r stop being
+    finite.  final_params is left None.
     """
     beta = op.default_beta if config.damping_beta is None else config.damping_beta
     y = np.asarray(y, dtype=float)
@@ -258,24 +223,32 @@ def amp_loop(
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (op.n,):
             raise ValueError(f"truth must have shape ({op.n},)")
+        if not np.isfinite(truth).all():
+            raise ValueError("truth must be finite")
         truth_sq = float(np.sum(truth**2))  # signals.nmse's denominator, once per solve
+    if target_nmse is not None and (truth is None or not target_nmse >= 0.0):  # NaN too
+        raise ValueError("target_nmse must be nonnegative and needs a truth")
     trace = None if truth is None else []
     mu = np.zeros(op.n)
     r = y.copy()
     sq = np.empty(op.n)  # the squares behind each norm below
+    energy = float(np.square(y, out=sq[: op.m]).sum()) / op.m
     thetas = []  # the residual energy after each iteration
     converged = False
     for t in range(1, config.max_iters + 1):
         rho = op.adjoint(r) + mu
         try:
-            mu_new, onsager = denoiser(rho, r)
+            mu_new, onsager = denoiser(rho, energy)
         except (ValueError, FloatingPointError) as exc:
             # overflow inside an iteration surfaces as a rejected denoiser input
             raise DivergenceError(t) from exc
-        r = update_residual(op, y, mu_new, r, onsager, beta)
+        candidate = y - op.apply(mu_new) + r * (op.n / op.m) * onsager
+        # beta = 1 skips the blend: 0 r, with r finite, could change no more than a zero's sign
+        r = candidate if beta == 1.0 else (1.0 - beta) * r + beta * candidate
         if not (np.isfinite(mu_new).all() and np.isfinite(r).all()):
             raise DivergenceError(t)
-        thetas.append(float(np.square(r, out=sq[: op.m]).sum()) / op.m)
+        energy = float(np.square(r, out=sq[: op.m]).sum()) / op.m
+        thetas.append(energy)
         step = float(np.square(np.subtract(mu_new, mu, out=sq), out=sq).sum())
         base = float(np.square(mu, out=sq).sum())
         rel = step / base if base > 0.0 else (0.0 if step == 0.0 else np.inf)
@@ -283,10 +256,7 @@ def amp_loop(
         if trace is not None:
             err = float(np.square(np.subtract(truth, mu, out=sq), out=sq).sum())
             trace.append(err if truth_sq == 0.0 else err / truth_sq)
-            if target_nmse is not None and trace[-1] <= target_nmse:
-                converged = True
-                break
-        if rel <= config.tol:
+        if rel <= config.tol or (target_nmse is not None and trace[-1] <= target_nmse):
             converged = True
             break
         settled = thetas[-STALL_WINDOW - 1 :]
@@ -321,14 +291,15 @@ class ChainDenoiser:
         self.l2p = (np.zeros(n), np.full(n, s0))
         self.theta = None
 
-    def __call__(self, rho: np.ndarray, r: np.ndarray):
+    def __call__(self, rho: np.ndarray, energy: float):
         params = self.params
-        theta = channel_variance(self.sigma_sq, r, self.m, params, self.em)
-        self.theta = theta
+        theta = energy if self.em else params.delta + float(self.sigma_sq.sum()) / self.m
+        self.theta = theta = max(theta, THETA_FLOOR)
         r2p = r2p_update(rho, theta, *self.r2p, params)
         l2m, l2v = r2p_update(rho[::-1], theta, self.l2p[0][::-1], self.l2p[1][::-1], params)
         self.r2p, self.l2p = r2p, (l2m[::-1], l2v[::-1])
-        mu, self.sigma_sq, mean_eta_prime = denoise(rho, theta, self.r2p, self.l2p, params)
+        mu, self.sigma_sq = eta_gamma(rho, theta, self.r2p, self.l2p, params.q, params.sigma0_sq)
+        mean_eta_prime = float(self.sigma_sq.sum()) / self.sigma_sq.size / theta
         if self.em:
             self.params = em_update(rho, theta, params)
         return mu, mean_eta_prime

@@ -19,6 +19,7 @@ default), the stopping rule and the divergence rule are
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -137,12 +138,11 @@ def tvamp_solve(
     target_nmse: float | None = None,
 ) -> SolveReport:
     """``amp_loop`` around the TV prox at threshold lam * sqrt(||r||^2 / m)."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be a positive finite number, not {lam!r}")
 
-    def denoiser(rho, r):
-        theta = float(np.sum(r**2)) / op.m
-        mu = tv_prox(rho, lam * np.sqrt(theta))
+    def denoiser(rho, energy):
+        mu = tv_prox(rho, lam * np.sqrt(energy))
         return mu, tv_divergence(mu)
 
     return amp_loop(op, y, denoiser, config, truth, target_nmse)

@@ -543,7 +543,7 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None, em=Fals
             if not em:
                 theta = params.delta + float(np.sum(sigma_sq)) / op.m
             else:
-                theta = float(r @ r) / op.m
+                theta = float(np.sum(r**2)) / op.m
             theta = max(theta, THETA_FLOOR)
             r2p_new = _r2p_reference(rho, theta, *r2p, params)
             l2m, l2v = _r2p_reference(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], params)

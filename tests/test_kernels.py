@@ -16,7 +16,7 @@ from oracles import (
     quad_posterior_moments,
 )
 from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, log_gauss, phi_zeta
-from ssamp.solver import ChainDenoiser, PriorParams, denoise
+from ssamp.solver import ChainDenoiser, PriorParams
 
 # frozen quadrature values for the named cases (tests/oracles.py, rel_tol 1e-11);
 # a case is (rho, theta, message(s) as (mean, var), q, s0)
@@ -189,8 +189,12 @@ def test_eta_prime_equals_gamma_over_theta():
     rho, theta = rng.normal(size=12), 0.3
     r2p = (rng.normal(size=12), np.exp(rng.normal(size=12)))
     l2p = (rng.normal(size=12), np.exp(rng.normal(size=12)))
-    _, gamma = eta_gamma(rho, theta, r2p, l2p, 0.05, 1.0)
-    _, _, mean_eta_prime = denoise(rho, theta, r2p, l2p, PriorParams(q=0.05, sigma0_sq=1.0))
+    # an EM chain call at energy theta, from these messages; gamma at the messages it used
+    denoiser = ChainDenoiser(12, 6, PriorParams(q=0.05, sigma0_sq=1.0), em=True)
+    denoiser.r2p, denoiser.l2p = r2p, l2p
+    _, mean_eta_prime = denoiser(rho, theta)
+    _, gamma = eta_gamma(rho, theta, denoiser.r2p, denoiser.l2p, 0.05, 1.0)
+    np.testing.assert_array_equal(denoiser.sigma_sq, gamma)
     assert mean_eta_prime == pytest.approx(np.mean(gamma / theta), rel=1e-15)
 
 
@@ -548,12 +552,12 @@ def test_kernels_and_chain_step_leave_read_only_inputs_unchanged():
 
     for em in (False, True):
         denoiser = ChainDenoiser(n, n // 2, PriorParams(q=0.1, sigma0_sq=1.2), em)
-        residual = rng.normal(size=n // 2)
-        denoiser(rho, residual)  # the leftward messages are now reversed views
+        energy = float(np.sum(rng.normal(size=n // 2) ** 2)) / (n // 2)
+        denoiser(rho, energy)  # the leftward messages are now reversed views
         state = [denoiser.sigma_sq, *denoiser.r2p, *denoiser.l2p]
         assert denoiser.l2p[0].strides[0] < 0
-        _read_only(residual, *state)
-        arrays = [rho, residual, *state]
+        _read_only(*state)
+        arrays = [rho, *state]
         before = [a.tobytes() for a in arrays]
-        denoiser(rho, residual)
+        denoiser(rho, energy)
         assert [a.tobytes() for a in arrays] == before

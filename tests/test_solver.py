@@ -28,16 +28,14 @@ from ssamp.solver import (
     PriorParams,
     SolverConfig,
     amp_loop,
-    channel_variance,
     default_em_params,
-    denoise,
     em_posteriors,
     em_update,
     r2p_update,
     solve,
-    update_residual,
 )
-from ssamp.tvamp import tvamp_solve
+import ssamp.tvamp
+from ssamp.tvamp import tv_divergence, tv_prox, tvamp_solve
 
 # frozen one-step values from the 50-digit reference implementation
 # (tests/oracles.py em_oracle) for rho, theta, q, sigma0_sq below
@@ -77,9 +75,20 @@ class _Recorder:
         self.mu, self.onsager = mu, onsager
         self.calls = []
 
-    def __call__(self, rho, r):
-        self.calls.append((rho, r))
+    def __call__(self, rho, energy):
+        self.calls.append((rho, energy))
         return self.mu, self.onsager
+
+
+def _loop_residual(op, y, mu, r, onsager, beta):
+    """The residual amp_loop leaves after estimate mu, in the loop's own expression."""
+    candidate = y - op.apply(mu) + r * (op.n / op.m) * onsager
+    return candidate if beta == 1.0 else (1.0 - beta) * r + beta * candidate
+
+
+def _energy(r):
+    """The residual energy ||r||^2 / m, in the loop's own expression."""
+    return float(np.square(r).sum()) / r.size
 
 
 # ---------------------------------------------------------------- init
@@ -101,19 +110,19 @@ def test_chain_denoiser_start_and_first_pseudodata():
     rec = _Recorder(np.zeros(4))
     rep = amp_loop(op, y, rec, SolverConfig(max_iters=1, tol=0.0))
     assert rep.iters_run == 1 and len(rec.calls) == 1
-    rho, r = rec.calls[0]
-    np.testing.assert_array_equal(r, y)
+    rho, energy = rec.calls[0]
+    assert energy == 2.5  # ||y||^2 / m
     np.testing.assert_array_equal(rho, op.adjoint(y))
 
 
 def test_amp_loop_residual_is_a_copy_of_y():
+    # the residual starts as a copy of y: no iteration writes into the caller's array
     op = make_iid_gaussian(3, 5, 0)
     y = np.array([1.0, 2.0, 3.0])
-    rec = _Recorder(np.zeros(5))
-    amp_loop(op, y, rec, SolverConfig(max_iters=1, tol=0.0))
-    _, r = rec.calls[0]
-    y[0] = 99.0
-    assert r[0] == 1.0
+    for beta in (1.0, 0.5):
+        rec = _Recorder(np.arange(5.0), onsager=0.4)
+        amp_loop(op, y, rec, SolverConfig(max_iters=3, tol=0.0, damping_beta=beta))
+        np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
     den = ChainDenoiser(5, 3, PriorParams(q=0.1, sigma0_sq=0.25), em=False)
     assert np.all(den.sigma_sq == 0.25)
     assert np.all(den.r2p[1] == 0.25) and np.all(den.l2p[1] == 0.25)
@@ -167,6 +176,14 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(damping_beta=1.5)
     assert SolverConfig().damping_beta is None
+    # bool is an int subclass: tol=True would count every step of relative size <= 1 as converged
+    for name, bad in (("tol", True), ("tol", "0"), ("damping_beta", True), ("damping_beta", "1")):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            SolverConfig(**{name: bad})
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=bad)
+    assert SolverConfig(5, np.float64(0.0), np.float64(0.5)).damping_beta == 0.5
 
 
 def test_both_solvers_damp_by_operator_default_beta():
@@ -208,12 +225,9 @@ def test_pseudodata_matches_dense_formula():
     y = np.random.default_rng(5).normal(size=5)
     rec = _Recorder(mu, onsager=0.3)
     amp_loop(op, y, rec, SolverConfig(max_iters=2, tol=0.0))
-    rho, r = rec.calls[1]
+    rho, _ = rec.calls[1]
+    r = y - dense @ mu + y * (9 / 5) * 0.3
     np.testing.assert_allclose(rho, dense.T @ r + mu, rtol=1e-12)
-    st0 = _random_state(9, 2)
-    params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
-    theta = channel_variance(st0.sigma_sq, r, 5, params, em=False)
-    assert theta == pytest.approx(np.sum(st0.sigma_sq) / 5, rel=1e-14)
 
 
 def test_pseudodata_zero_residual_returns_mu():
@@ -222,25 +236,35 @@ def test_pseudodata_zero_residual_returns_mu():
     mu = np.random.default_rng(2).normal(size=9)
     rec = _Recorder(mu)
     amp_loop(op, op.apply(mu), rec, SolverConfig(max_iters=2, tol=0.0))
-    rho, r = rec.calls[1]
-    np.testing.assert_array_equal(r, np.zeros(5))
+    rho, energy = rec.calls[1]
+    assert energy == 0.0
     np.testing.assert_array_equal(rho, mu)
 
 
+def _theta_after_call(sigma_sq, energy, params, em, m=2):
+    """The channel variance a ChainDenoiser with coordinate variances sigma_sq uses."""
+    den = ChainDenoiser(sigma_sq.size, m, params, em)
+    den.sigma_sq = sigma_sq
+    den(np.zeros(sigma_sq.size), energy)
+    return den.theta
+
+
 def test_pseudodata_theta_modes():
-    sigma_sq = np.zeros(4)
-    r = np.array([3.0, 4.0])
+    # without EM: delta + sum(sigma_sq) / m, whatever the residual energy; with EM: the energy
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=1e-10)
-    theta = channel_variance(sigma_sq, r, 2, params, em=False)
+    theta = _theta_after_call(np.zeros(4), 12.5, params, em=False)
     assert theta == pytest.approx(1e-10, rel=1e-12)
-    theta = channel_variance(sigma_sq, r, 2, params, em=True)
-    assert theta == pytest.approx(12.5, rel=1e-14)
+    assert _theta_after_call(np.zeros(4), 12.5, params, em=True) == 12.5
+    sigma_sq = _random_state(9, 2).sigma_sq
+    plain = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
+    theta = _theta_after_call(sigma_sq, 3.0, plain, em=False, m=5)
+    assert theta == pytest.approx(np.sum(sigma_sq) / 5, rel=1e-14)
 
 
 def test_pseudodata_theta_floor():
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
     for em in (False, True):
-        assert channel_variance(np.zeros(4), np.zeros(2), 2, params, em) == THETA_FLOOR
+        assert _theta_after_call(np.zeros(4), 0.0, params, em) == THETA_FLOOR
 
 
 # ---------------------------------------------------------------- chain messages
@@ -280,8 +304,8 @@ def test_l2p_is_mirror_of_r2p():
     rng = np.random.default_rng(21)
     for _ in range(3):
         rho, r = rng.normal(size=7) * 2, rng.normal(size=4)
-        mu, mep = fwd(rho, r)
-        mu_rev, mep_rev = rev(rho[::-1].copy(), r)
+        mu, mep = fwd(rho, _energy(r))
+        mu_rev, mep_rev = rev(rho[::-1].copy(), _energy(r))
         np.testing.assert_allclose(mu_rev, mu[::-1], rtol=1e-14)
         assert mep_rev == pytest.approx(mep, rel=1e-14)
         for got, want in ((rev.l2p, fwd.r2p), (rev.r2p, fwd.l2p)):
@@ -307,28 +331,36 @@ def test_r2p_gaussian_filtering_collapse():
 # ---------------------------------------------------------------- denoise
 
 
+def _chain_call(st0, params):
+    """One EM chain-denoiser call on a random state at energy st0.theta."""
+    den = ChainDenoiser(st0.rho.size, 2, params, em=True)
+    den.r2p, den.l2p = st0.r2p, st0.l2p
+    mu, mep = den(st0.rho, st0.theta)
+    return den, mu, mep
+
+
 def test_denoise_zero_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    den = ChainDenoiser(n, 2, params)
-    mu, sigma_sq, mep = denoise(np.zeros(n), 0.5, den.r2p, den.l2p, params)
+    den = ChainDenoiser(n, 2, params, em=True)
+    mu, mep = den(np.zeros(n), 0.5)
     np.testing.assert_array_equal(mu, np.zeros(n))
-    assert np.all(sigma_sq > 0)
-    assert mep == pytest.approx(np.mean(sigma_sq) / 0.5, rel=1e-15)
+    assert np.all(den.sigma_sq > 0)
+    assert mep == pytest.approx(np.mean(den.sigma_sq) / 0.5, rel=1e-15)
 
 
 def test_denoise_matches_scalar_kernel_calls():
     st0 = _random_state(6, 17)
     params = PriorParams(q=0.25, sigma0_sq=0.6)
-    mu, sigma_sq, _ = denoise(st0.rho, st0.theta, st0.r2p, st0.l2p, params)
-    # one kernel call per coordinate, on 1-element slices
+    den, mu, _ = _chain_call(st0, params)
+    # one kernel call per coordinate, on 1-element slices of the messages the call used
     for i in range(6):
         at = slice(i, i + 1)
-        r2p = (st0.r2p[0][at], st0.r2p[1][at])
-        l2p = (st0.l2p[0][at], st0.l2p[1][at])
+        r2p = (den.r2p[0][at], den.r2p[1][at])
+        l2p = (den.l2p[0][at], den.l2p[1][at])
         (g,), (v,) = eta_gamma(st0.rho[at], st0.theta, r2p, l2p, params.q, params.sigma0_sq)
         assert mu[i] == pytest.approx(g, rel=1e-13, abs=1e-15)
-        assert sigma_sq[i] == pytest.approx(v, rel=1e-13)
+        assert den.sigma_sq[i] == pytest.approx(v, rel=1e-13)
 
 
 def test_denoise_identity_for_uninformative_prior():
@@ -336,19 +368,18 @@ def test_denoise_identity_for_uninformative_prior():
     big = 1e8
     r2p = (st0.r2p[0], np.full(8, big))
     l2p = (st0.l2p[0], np.full(8, big))
-    params = PriorParams(q=0.0, sigma0_sq=big)
-    mu, _, _ = denoise(st0.rho, st0.theta, r2p, l2p, params)
+    mu, _ = eta_gamma(st0.rho, st0.theta, r2p, l2p, 0.0, big)
     np.testing.assert_allclose(mu, st0.rho, rtol=1e-3, atol=1e-3)
 
 
 def test_denoise_mean_eta_prime_matches_finite_differences():
+    # <eta'> of a chain call against the kernel's derivative at the messages the call used
     st0 = _random_state(12, 23)
     params = PriorParams(q=0.2, sigma0_sq=1.1)
-    _, sigma_sq, mep = denoise(st0.rho, st0.theta, st0.r2p, st0.l2p, params)
+    den, _, mep = _chain_call(st0, params)
     h = 1e-6
-    mu_up, _, _ = denoise(st0.rho + h, st0.theta, st0.r2p, st0.l2p, params)
-    mu_dn, _, _ = denoise(st0.rho - h, st0.theta, st0.r2p, st0.l2p, params)
-    fd = (mu_up - mu_dn) / (2 * h)
+    args = (st0.theta, den.r2p, den.l2p, params.q, params.sigma0_sq)
+    fd = (eta_gamma(st0.rho + h, *args)[0] - eta_gamma(st0.rho - h, *args)[0]) / (2 * h)
     assert mep == pytest.approx(float(np.mean(fd)), rel=1e-5)
 
 
@@ -369,31 +400,105 @@ def test_denoiser_linear_when_spike_absent():
 # ---------------------------------------------------------------- residual
 
 
+def _second_call(op, y, mu, onsager, beta):
+    """The (rho, energy) amp_loop hands a fixed-output denoiser at call 2."""
+    rec = _Recorder(mu, onsager)
+    amp_loop(op, y, rec, SolverConfig(max_iters=2, tol=0.0, damping_beta=beta))
+    return rec.calls[1]
+
+
 def test_residual_plain_when_no_onsager():
     op = make_iid_gaussian(5, 9, 1)
     mu = np.random.default_rng(2).normal(size=9)
-    r0 = np.random.default_rng(5).normal(size=5)
     y = np.random.default_rng(6).normal(size=5)
-    r = update_residual(op, y, mu, r0, 0.0, 1.0)
-    np.testing.assert_allclose(r, y - op.apply(mu), rtol=1e-13)
+    rho, energy = _second_call(op, y, mu, 0.0, 1.0)
+    r = y - op.apply(mu)
+    np.testing.assert_allclose(rho, op.adjoint(r) + mu, rtol=1e-13)
+    assert energy == pytest.approx(np.sum(r**2) / 5, rel=1e-13)
 
 
 def test_residual_algebraic_case():
+    # the Onsager term adds c n / m times the previous residual, at call 1 y itself
+    # (a zero estimate would end the run at call 1, so the plain run is subtracted)
     op = make_iid_gaussian(5, 9, 1)
+    mu = np.random.default_rng(2).normal(size=9)
     y = np.random.default_rng(6).normal(size=5)
     c = 0.3
-    r = update_residual(op, y, np.zeros(9), y.copy(), c, 1.0)
-    np.testing.assert_allclose(r, y * (1 + c * 9 / 5), rtol=1e-13)
+    rho, energy = _second_call(op, y, mu, c, 1.0)
+    rho_plain, _ = _second_call(op, y, mu, 0.0, 1.0)
+    onsager = op.adjoint(y * (c * 9 / 5))
+    np.testing.assert_allclose(rho - rho_plain, onsager, rtol=1e-12, atol=1e-14)
+    r = y - op.apply(mu) + y * (c * 9 / 5)
+    assert energy == pytest.approx(np.sum(r**2) / 5, rel=1e-13)
 
 
 def test_residual_damping_convex_combination():
     op = make_iid_gaussian(5, 9, 1)
     mu = np.random.default_rng(2).normal(size=9)
-    r0 = np.random.default_rng(5).normal(size=5)
     y = np.random.default_rng(6).normal(size=5)
-    full = update_residual(op, y, mu, r0, 0.2, 1.0)
-    half = update_residual(op, y, mu, r0, 0.2, 0.5)
-    np.testing.assert_allclose(half, 0.5 * r0 + 0.5 * full, rtol=1e-13)
+    rho_full, energy_full = _second_call(op, y, mu, 0.2, 1.0)
+    rho_half, energy_half = _second_call(op, y, mu, 0.2, 0.5)
+    # the residual behind call 2 starts from r = y
+    full = y - op.apply(mu) + y * (9 / 5) * 0.2
+    half = 0.5 * y + 0.5 * full
+    np.testing.assert_allclose(rho_full, op.adjoint(full) + mu, rtol=1e-13)
+    np.testing.assert_allclose(rho_half, op.adjoint(half) + mu, rtol=1e-13)
+    assert energy_full == pytest.approx(np.sum(full**2) / 5, rel=1e-13)
+    assert energy_half == pytest.approx(np.sum(half**2) / 5, rel=1e-13)
+
+
+def test_amp_loop_hands_the_denoiser_the_residual_energy(monkeypatch):
+    # call 1 gets ||y||^2 / m, call t the energy of the residual call t - 1 left, bit for bit
+    op = make_iid_gaussian(5, 9, 1)
+    y = np.random.default_rng(6).normal(size=5)
+    for beta in (1.0, 0.5):
+        calls = []
+
+        def shrinking(rho, energy):
+            mu = 0.5 * rho
+            calls.append((rho, energy, mu))
+            return mu, 0.2
+
+        config = SolverConfig(max_iters=6, tol=0.0, damping_beta=beta)
+        amp_loop(op, y, shrinking, config)
+        assert len(calls) == 6
+        assert calls[0][1] == float(np.sum(y**2)) / 5
+        mu, r = np.zeros(9), y.copy()
+        for rho, energy, mu_new in calls:
+            np.testing.assert_array_equal(rho, op.adjoint(r) + mu)
+            assert energy == _energy(r)
+            mu, r = mu_new, _loop_residual(op, y, mu_new, r, 0.2, beta)
+
+        # an EM chain denoiser's theta is that energy
+        op_em, _, y_em, params = _easy_instance(n=120, m=60, k=6)
+        den = ChainDenoiser(op_em.n, op_em.m, params, em=True)
+        seen = []
+
+        def chain(rho, energy):
+            out = den(rho, energy)
+            seen.append((energy, den.theta))
+            return out
+
+        amp_loop(op_em, y_em, chain, config)
+        assert seen[0][0] == float(np.sum(y_em**2)) / op_em.m
+        assert all(theta == energy for energy, theta in seen)
+
+        # a TV run's threshold is lam * sqrt(energy)
+        prox = []
+
+        def recording(values, lam):
+            out = tv_prox(values, lam)
+            prox.append((lam, out))
+            return out
+
+        monkeypatch.setattr(ssamp.tvamp, "tv_prox", recording)
+        tvamp_solve(op, y, 0.8, config)
+        monkeypatch.undo()
+        assert len(prox) == 6
+        r = y.copy()
+        for lam, out in prox:
+            assert lam == 0.8 * np.sqrt(_energy(r))
+            r = _loop_residual(op, y, out, r, tv_divergence(out), beta)
 
 
 # ---------------------------------------------------------------- EM
@@ -507,12 +612,13 @@ def test_solve_composes_sub_operations():
     want_params = params
     for _ in range(4):
         rho = op.adjoint(r) + mu
-        theta = channel_variance(sigma_sq, r, op.m, want_params, em=True)
+        theta = max(_energy(r), THETA_FLOOR)
         r2p_new = r2p_update(rho, theta, *r2p, want_params)
         l2m, l2v = r2p_update(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], want_params)
         r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])
-        mu, sigma_sq, mep = denoise(rho, theta, r2p, l2p, want_params)
-        r = update_residual(op, y, mu, r, mep, beta)
+        mu, sigma_sq = eta_gamma(rho, theta, r2p, l2p, want_params.q, want_params.sigma0_sq)
+        mep = float(sigma_sq.sum()) / sigma_sq.size / theta
+        r = _loop_residual(op, y, mu, r, mep, beta)
         want_params = em_update(rho, theta, want_params)
 
     got = solve(op, y, params, SolverConfig(max_iters=4, tol=0.0), em=True)
@@ -535,7 +641,7 @@ def test_chain_denoiser_fixed_point_drift():
     # residual it sits at its floor, and the denoiser must hand x back
     op, x, y, params = _easy_instance()
     denoiser = ChainDenoiser(op.n, op.m, params, em=True)
-    mu, _ = denoiser(x.copy(), np.zeros(op.m))
+    mu, _ = denoiser(x.copy(), 0.0)
     assert nmse(x, mu) <= 1e-10
 
 
@@ -556,8 +662,8 @@ def test_variances_stay_positive():
         denoiser = ChainDenoiser(n, m, params)
         calls = []
 
-        def checked(rho, r):
-            out = denoiser(rho, r)
+        def checked(rho, energy):
+            out = denoiser(rho, energy)
             assert np.all(denoiser.sigma_sq > 0)
             assert np.all(denoiser.r2p[1] > 0)
             assert np.all(denoiser.l2p[1] > 0)
@@ -593,6 +699,19 @@ def test_solve_validates_shape_and_params():
         solve(op, np.zeros(10), None)  # EM off: params required
     with pytest.raises(ValueError, match="default_em_params"):
         solve(op, np.zeros(10), None, em=True)  # EM on too
+    # a target is checked against truth: without one, or with a NaN in it, no run could meet it
+    p, x = PriorParams(q=0.1, sigma0_sq=1.0), np.zeros(20)
+    with pytest.raises(ValueError, match="target_nmse"):
+        solve(op, np.zeros(10), p, SolverConfig(max_iters=300), target_nmse=1e-2)
+    for bad in (np.nan, -1e-2):
+        with pytest.raises(ValueError, match="target_nmse"):
+            solve(op, np.zeros(10), p, truth=x, target_nmse=bad)
+    for bad in (np.nan, np.inf):
+        truth = x.copy()
+        truth[5] = bad
+        with pytest.raises(ValueError, match="truth must be finite"):
+            solve(op, np.zeros(10), p, truth=truth)
+    assert solve(op, np.zeros(10), p, truth=x, target_nmse=0.0).converged
 
 
 def test_noiseless_recovery_small():
@@ -636,9 +755,9 @@ def test_boundary_messages_track_em_slab_variance():
     denoiser = ChainDenoiser(op.n, op.m, params0, em=True)
     used = []  # (prior a call used, messages after that call)
 
-    def recorded(rho, r):
+    def recorded(rho, energy):
         params = denoiser.params
-        out = denoiser(rho, r)
+        out = denoiser(rho, energy)
         used.append((params, denoiser.r2p, denoiser.l2p))
         return out
 
@@ -683,7 +802,7 @@ def test_amp_loop_divergence_rule():
     for exc in (ValueError, FloatingPointError):
         calls = []
 
-        def rejecting(rho, r, exc=exc):
+        def rejecting(rho, energy, exc=exc):
             calls.append(1)
             if len(calls) == 3:
                 raise exc("rejected")
@@ -713,7 +832,7 @@ class _Settling:
     def __init__(self, u, scales):
         self.u, self.scales, self.t = u, scales, 0
 
-    def __call__(self, rho, r):
+    def __call__(self, rho, energy):
         self.t += 1
         return (1.0 - self.scales(self.t)) * self.u, 0.0
 

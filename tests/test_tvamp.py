@@ -17,9 +17,10 @@ from ssamp.tvamp import SEGMENT_TOL, tv_divergence, tv_prox, tvamp_solve
 
 def test_config_validation():
     op = make_iid_gaussian(10, 20, 0)
-    for lam in (0.0, -1.0, np.nan, np.inf):
+    for lam in (0.0, -1.0, np.nan, np.inf, True, "1"):
         with pytest.raises(ValueError, match="lam"):
             tvamp_solve(op, np.zeros(10), lam)
+    assert tvamp_solve(op, np.zeros(10), np.float64(1.0)).converged
     # the loop settings are the shared SolverConfig, checked when it is built
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
@@ -29,6 +30,9 @@ def test_config_validation():
         SolverConfig(damping_beta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping_beta=1.0001)
+    for name in ("tol", "damping_beta"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: True})
 
 
 # ---------------------------------------------------------------- tv_prox
@@ -232,6 +236,16 @@ def test_solve_validates_shape():
         y[0] = bad
         with pytest.raises(ValueError, match="finite"):
             tvamp_solve(op, y, 1.0)
+    # a target needs a finite truth to be checked against
+    x = np.zeros(20)
+    with pytest.raises(ValueError, match="target_nmse"):
+        tvamp_solve(op, np.zeros(10), 1.0, target_nmse=1e-2)
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="target_nmse"):
+            tvamp_solve(op, np.zeros(10), 1.0, truth=x, target_nmse=bad)
+    x[0] = np.nan
+    with pytest.raises(ValueError, match="truth must be finite"):
+        tvamp_solve(op, np.zeros(10), 1.0, truth=x)
 
 
 def test_easy_point_recovery():
