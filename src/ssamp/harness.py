@@ -16,7 +16,6 @@ matching grid cell.  Grid outputs are byte-identical across repeats.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Sequence
@@ -26,6 +25,7 @@ import numpy as np
 from .operators import (
     KINDS,
     LinearOperator,
+    check_number,
     column_sign_randomize,
     make_iid_gaussian,
     make_quasi_toeplitz,
@@ -112,29 +112,31 @@ class ExperimentConfig:
     sign_randomize: bool = False
 
     def __post_init__(self):
-        # max_iters is checked by the SolverConfig built below.  A JSON 64.0 or 2e2
-        # is a float, not an integer; bool is an int subclass, so true is no number.
-        # A negative seed_base would fail only in the first trial's SeedSequence.
-        lowest = {"n": 2, "trials": 1, "seed_base": 0, "col_weight": 1, "band": 1}
-        for name in (*lowest, "delta", "success_nmse", "sigma0", "q", "lam", "beta", "tol"):
-            value = getattr(self, name)
-            if value is None and name in ("band", "q", "beta"):
-                continue  # unset: the full band, the realized k / (n-1), default_beta
-            kind = numbers.Integral if name in lowest else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if name in lowest else "a number"
-                raise ValueError(f"{name} must be {what}, not {value!r}")
-            if name in lowest and value < lowest[name]:
-                raise ValueError(f"{name} must be at least {lowest[name]}")
+        # max_iters, tol and beta (as damping_beta) are checked by the SolverConfig
+        # built below.  A JSON 64.0 or 2e2 is a float, not an integer, and true is no
+        # number.  A negative seed_base would fail only in the first trial's SeedSequence.
+        for name, low in (("n", 2), ("trials", 1), ("seed_base", 0), ("col_weight", 1)):
+            check_number(name, getattr(self, name), low, integer=True)
+        if self.band is not None:  # unset: the full band n
+            check_number("band", self.band, 1, self.n, integer=True)
+        check_number("delta", self.delta, 0.0)
+        check_number("success_nmse", self.success_nmse, 0.0)
+        check_number("sigma0", self.sigma0, 0.0, open_low=True)
+        check_number("lam", self.lam, 0.0, open_low=True)
+        if self.q is not None:  # unset: the realized k / (n-1)
+            check_number("q", self.q, 0.0, 1.0)
         if not isinstance(self.sign_randomize, bool):
             raise ValueError(f"sign_randomize must be true or false, not {self.sign_randomize!r}")
         for name in ("grid_m_over_n", "grid_k_over_m"):
             grid = getattr(self, name)
-            if not isinstance(grid, Sequence) or not grid or any(
-                isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 < v <= 1.0
-                for v in grid
-            ):
-                raise ValueError(f"{name} must be a list of numbers in (0, 1], not {grid!r}")
+            try:
+                if not isinstance(grid, Sequence) or not grid:
+                    raise ValueError("no list")
+                for v in grid:
+                    check_number(name, v, 0.0, 1.0, open_low=True)
+            except ValueError:
+                what = f"{name} must be a list of numbers in (0, 1], not {grid!r}"
+                raise ValueError(what) from None
             object.__setattr__(self, name, tuple(grid))
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
@@ -148,19 +150,6 @@ class ExperimentConfig:
             )
         if self.signal_model not in MODELS:
             raise ValueError(f"unknown signal model {self.signal_model!r}")
-        # the negated comparisons reject NaN too, and the upper bounds infinity
-        if not 0.0 <= self.delta < np.inf:
-            raise ValueError("delta must be nonnegative and finite")
-        if not 0.0 < self.sigma0 < np.inf:
-            raise ValueError("sigma0 must be positive and finite")
-        if self.q is not None and not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError("lam must be positive and finite")
-        if not 0.0 <= self.success_nmse < np.inf:
-            raise ValueError("success_nmse must be nonnegative and finite")
-        if self.band is not None and self.band > self.n:
-            raise ValueError("band must be None (full band) or at most n")
         if self.matrix == "subsampled_wht" and self.n & (self.n - 1):
             raise ValueError("subsampled_wht needs n to be a power of two")
         # the smallest m of a cell that builds an operator (cell_sizes None skips one)

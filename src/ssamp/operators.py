@@ -17,10 +17,14 @@ deterministic in (shape, seed); apply/adjoint are exact adjoints of each
 other.  ``column_sign_randomize`` wraps any operator with a random +-1
 diagonal on the input side.  scipy is imported by the two ensembles that
 use it, when one is built, so the others run on numpy alone.
+
+``check_number`` is the package's one check of a public scalar argument.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from functools import partial
 
 import numpy as np
@@ -34,6 +38,7 @@ __all__ = [
     "make_quasi_toeplitz",
     "make_sparse_bernoulli",
     "column_sign_randomize",
+    "check_number",
 ]
 
 KINDS = (
@@ -45,11 +50,33 @@ KINDS = (
 )
 
 
+def check_number(
+    name, value, low=-math.inf, high=math.inf, *, integer=False, open_low=False, finite=True
+):
+    """Return ``value`` if it is a number (an integral one with ``integer``)
+    in [low, high], or in (low, high] with ``open_low``, and finite unless
+    ``finite`` is false; otherwise raise a ValueError naming ``name``.
+
+    bool is an int subclass, but True is no number here.  NaN fails every
+    range.
+    """
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, not {value!r}")
+    above = low < value if open_low else low <= value
+    if above and value <= high and (not finite or -math.inf < value < math.inf):
+        return value
+    rules = [f"{'greater than' if open_low else 'at least'} {low}"] if low > -math.inf else []
+    if high < math.inf:
+        rules.append(f"at most {high}")
+    if finite and not integer and len(rules) < 2:
+        rules.insert(0, "finite")
+    raise ValueError(f"{name} must be {' and '.join(rules)}, not {value!r}")
+
+
 def _check_shape(m: int, n: int):
-    if n < 2:
-        raise ValueError("operator needs n >= 2 columns")
-    if not 1 <= m <= n:
-        raise ValueError("operator needs 1 <= m <= n rows")
+    check_number("n", n, 2, integer=True)
+    check_number("m", m, 1, n, integer=True)
 
 
 class LinearOperator:
@@ -137,9 +164,8 @@ class _QuasiToeplitz(_TransformRows):
     default_beta = 0.5  # undamped AMP is unstable on these shifted rows
 
     def __init__(self, m, n, band, seed):
-        if not 1 <= band <= n:
-            raise ValueError("band width must satisfy 1 <= b <= n")
         _check_shape(m, n)
+        check_number("band", band, 1, n, integer=True)
         rng = np.random.default_rng(seed)
         self.coeffs = rng.normal(0.0, 1.0 / np.sqrt(m), size=band)
         row = np.zeros(n)
@@ -185,9 +211,9 @@ def make_subsampled_dct(m: int, n: int, seed: int) -> LinearOperator:
 
 
 def make_subsampled_wht(m: int, n: int, seed: int) -> LinearOperator:
+    rows = _random_rows(m, n, seed)
     if n & (n - 1) != 0:
         raise ValueError("subsampled_wht needs n to be a power of two")
-    rows = _random_rows(m, n, seed)
     # the natural-order transform is symmetric, so it is its own transpose;
     # sqrt(n/m) row scaling on top of the 1/sqrt(n) orthonormalization
     return _TransformRows(n, rows, "subsampled_wht", _fwht, _fwht, np.sqrt(n / m) / np.sqrt(n))
@@ -200,8 +226,8 @@ def make_quasi_toeplitz(m: int, n: int, band: int, seed: int) -> LinearOperator:
 def make_sparse_bernoulli(m: int, n: int, col_weight: int, seed: int) -> LinearOperator:
     import scipy.sparse
 
-    if not 1 <= col_weight <= m:
-        raise ValueError("col_weight must satisfy 1 <= col_weight <= m")
+    _check_shape(m, n)
+    check_number("col_weight", col_weight, 1, m, integer=True)
     rng = np.random.default_rng(seed)
     rows = np.empty((col_weight, n), dtype=np.int64)
     for i in range(n):

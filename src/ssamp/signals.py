@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LinearOperator
+from .operators import LinearOperator, check_number
 
 __all__ = ["SignalSpec", "generate", "measure", "nmse", "save_signal"]
 
@@ -35,12 +35,10 @@ class SignalSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("signal length must be at least 2")
+        check_number("n", self.n, 2, integer=True)
         if self.model not in MODELS:
             raise ValueError(f"unknown signal model {self.model!r}")
-        if not 0.0 < self.sigma0 < np.inf:  # rejects NaN too
-            raise ValueError("sigma0 must be positive and finite")
+        check_number("sigma0", self.sigma0, 0.0, open_low=True)
 
 
 def _draw_jumps(rng, model, sigma0, count):
@@ -56,8 +54,7 @@ def generate(spec: SignalSpec, k: int) -> np.ndarray:
     only those receive slab draws.
     """
     d = spec.n - 1
-    if not 0 <= k <= d:
-        raise ValueError("jump count k must lie in [0, n-1]")
+    check_number("k", k, 0, d, integer=True)
     rng = np.random.default_rng(spec.seed)
     u = np.zeros(d)
     pos = rng.choice(d, size=k, replace=False)
@@ -67,8 +64,7 @@ def generate(spec: SignalSpec, k: int) -> np.ndarray:
 
 def measure(op: LinearOperator, x: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """y = op(x) + w with w ~ N(0, delta I); delta = 0 is exactly noiseless."""
-    if not 0.0 <= delta < np.inf:  # rejects NaN too
-        raise ValueError("noise variance delta must be nonnegative and finite")
+    check_number("delta", delta, 0.0)
     y = op.apply(x)
     if delta > 0:
         rng = np.random.default_rng(seed)

@@ -20,13 +20,12 @@ The chain denoiser (``ChainDenoiser``) does per call, in order:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import eta_gamma, log_gauss, phi_zeta
-from .operators import LinearOperator
+from .operators import LinearOperator, check_number
 
 __all__ = [
     "PriorParams",
@@ -69,9 +68,10 @@ class DivergenceError(RuntimeError):
 class PriorParams:
     """Jump probability, slab variance, and measurement-noise variance.
 
-    All three must be finite.  q is clamped into [Q_MIN, Q_MAX] and
-    sigma0_sq up to SIGMA0_SQ_MIN on construction, so EM fixed points can
-    never stick to degenerate values.  delta is never learned.
+    All three must be finite numbers and delta nonnegative.  q is clamped
+    into [Q_MIN, Q_MAX] and sigma0_sq up to SIGMA0_SQ_MIN on construction,
+    so EM fixed points can never stick to degenerate values.  delta is
+    never learned.
     """
 
     q: float
@@ -79,13 +79,10 @@ class PriorParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not all(np.isfinite((self.q, self.sigma0_sq, self.delta))):
-            raise ValueError("q, sigma0_sq and delta must be finite")
-        object.__setattr__(self, "q", float(min(max(self.q, Q_MIN), Q_MAX)))
-        object.__setattr__(self, "sigma0_sq", float(max(self.sigma0_sq, SIGMA0_SQ_MIN)))
-        object.__setattr__(self, "delta", float(self.delta))
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        q, s0 = check_number("q", self.q), check_number("sigma0_sq", self.sigma0_sq)
+        object.__setattr__(self, "q", float(min(max(q, Q_MIN), Q_MAX)))
+        object.__setattr__(self, "sigma0_sq", float(max(s0, SIGMA0_SQ_MIN)))
+        object.__setattr__(self, "delta", float(check_number("delta", self.delta, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -97,21 +94,10 @@ class SolverConfig:
     damping_beta: float | None = None  # None: the operator's default_beta
 
     def __post_init__(self):
-        # bool is an int subclass, so True is no number
-        for name, kind, what in (
-            ("max_iters", numbers.Integral, "an integer"),
-            ("tol", numbers.Real, "a number"),
-            ("damping_beta", (numbers.Real, type(None)), "a number"),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, not {value!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.tol >= 0.0:  # rejects NaN too
-            raise ValueError("tol must be nonnegative")
-        if self.damping_beta is not None and not 0.0 < self.damping_beta <= 1.0:
-            raise ValueError("damping_beta must lie in (0, 1]")
+        check_number("max_iters", self.max_iters, 1, integer=True)
+        check_number("tol", self.tol, 0.0, finite=False)  # tol = inf stops after one step
+        if self.damping_beta is not None:
+            check_number("damping_beta", self.damping_beta, 0.0, 1.0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -282,6 +268,8 @@ class ChainDenoiser:
     def __init__(self, n: int, m: int, params: PriorParams, em: bool = False):
         if n < 2:
             raise ValueError("need at least two coordinates")
+        if not isinstance(em, bool):  # a truthy "no" would run EM
+            raise ValueError(f"em must be True or False, not {em!r}")
         self.m = m
         self.em = em
         self.params = params

@@ -18,17 +18,12 @@ default), the stopping rule and the divergence rule are
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .operators import LinearOperator
+from .operators import LinearOperator, check_number
 from .solver import SolveReport, SolverConfig, amp_loop
 
-__all__ = ["tv_prox", "tv_divergence", "tvamp_solve", "SEGMENT_TOL"]
-
-SEGMENT_TOL = 1e-10
+__all__ = ["tv_prox", "tv_divergence", "tvamp_solve"]
 
 
 def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
@@ -43,11 +38,7 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    lam = float(check_number("lam", lam, 0.0))
     n = y.size
     if lam == 0.0 or n <= 1:
         return y.copy()
@@ -125,7 +116,7 @@ def tv_divergence(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("x must be nonempty")
-    segments = 1 + int(np.count_nonzero(np.abs(np.diff(x)) > SEGMENT_TOL))
+    segments = 1 + int(np.count_nonzero(np.diff(x) != 0.0))
     return segments / x.size
 
 
@@ -138,8 +129,7 @@ def tvamp_solve(
     target_nmse: float | None = None,
 ) -> SolveReport:
     """``amp_loop`` around the TV prox at threshold lam * sqrt(||r||^2 / m)."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be a positive finite number, not {lam!r}")
+    check_number("lam", lam, 0.0, open_low=True)
 
     def denoiser(rho, energy):
         mu = tv_prox(rho, lam * np.sqrt(energy))

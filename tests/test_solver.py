@@ -14,6 +14,7 @@ from ssamp.operators import (
     column_sign_randomize,
     make_iid_gaussian,
     make_quasi_toeplitz,
+    make_sparse_bernoulli,
     make_subsampled_dct,
 )
 from oracles import dense_matrix, em_oracle, solve_reference, tvamp_solve_reference
@@ -184,6 +185,50 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             SolverConfig(max_iters=bad)
     assert SolverConfig(5, np.float64(0.0), np.float64(0.5)).damping_beta == 0.5
+
+
+def test_public_scalars_take_numbers_only():
+    """A bool or a string in a public scalar is a ValueError that names it; a numpy
+    scalar, or an int where a float goes, means what the plain number means.
+    ExperimentConfig, SolverConfig and tvamp_solve's lam have tables of their own."""
+    op = make_iid_gaussian(8, 16, 0)
+    x, rho = np.arange(16.0), np.random.default_rng(2).normal(size=16)
+    spec = dict(n=16, model="gaussian_pwc", sigma0=1.0, seed=3)
+    table = [
+        # (field, a call with the value, the plain value, the same value in other types)
+        ("q", lambda v: PriorParams(v, 1.0), 0.0, (0, np.float64(0.0))),
+        ("sigma0_sq", lambda v: PriorParams(0.1, v), 2.0, (2, np.float64(2.0))),
+        ("delta", lambda v: PriorParams(0.1, 1.0, v), 1.0, (1, np.float64(1.0))),
+        ("lam", lambda v: tv_prox(rho, v).tobytes(), 2.0, (2, np.float64(2.0))),
+        ("n", lambda v: generate(SignalSpec(**{**spec, "n": v}), 3).tobytes(), 16, (np.int64(16),)),
+        (
+            "sigma0",
+            lambda v: generate(SignalSpec(**{**spec, "sigma0": v}), 3).tobytes(),
+            2.0,
+            (2, np.float64(2.0)),
+        ),
+        ("k", lambda v: generate(SignalSpec(**spec), v).tobytes(), 3, (np.int64(3),)),
+        ("delta", lambda v: measure(op, x, v, 4).tobytes(), 1.0, (1, np.float64(1.0))),
+        ("m", lambda v: make_iid_gaussian(v, 16, 5).apply(x).tobytes(), 8, (np.int64(8),)),
+        ("n", lambda v: make_subsampled_dct(8, v, 5).apply(x).tobytes(), 16, (np.int64(16),)),
+        ("band", lambda v: make_quasi_toeplitz(8, 16, v, 5).apply(x).tobytes(), 9, (np.int64(9),)),
+        (
+            "col_weight",
+            lambda v: make_sparse_bernoulli(8, 16, v, 5).apply(x).tobytes(),
+            3,
+            (np.int64(3),),
+        ),
+    ]
+    for name, call, plain, same in table:
+        for bad in (True, str(plain)):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                call(bad)
+        for value in same:
+            assert call(value) == call(plain)
+    # solve's em is a flag: a truthy "no" used to run EM
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match="^em must be True or False"):
+            solve(op, op.apply(x), PriorParams(0.1, 1.0), em=bad)
 
 
 def test_both_solvers_damp_by_operator_default_beta():

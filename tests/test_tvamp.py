@@ -12,7 +12,7 @@ import ssamp.tvamp
 from ssamp.operators import make_iid_gaussian
 from ssamp.signals import SignalSpec, generate, measure, nmse
 from ssamp.solver import DivergenceError, SolverConfig
-from ssamp.tvamp import SEGMENT_TOL, tv_divergence, tv_prox, tvamp_solve
+from ssamp.tvamp import tv_divergence, tv_prox, tvamp_solve
 
 
 def test_config_validation():
@@ -170,9 +170,20 @@ def test_divergence_constant_and_monotone():
         tv_divergence(np.array([]))
 
 
-def test_divergence_tolerance_merges_near_ties():
-    x = np.array([1.0, 1.0 + 0.5 * SEGMENT_TOL, 2.0])
-    assert tv_divergence(x) == pytest.approx(2 / 3)
+def test_tvamp_estimate_scales_with_the_measurements():
+    # the exact segment count has no absolute tolerance, so TV-AMP on c y gives c times
+    # the estimate for y, in the same iterations.  The worst relative error of these
+    # 50 runs measured 3.4e-15; counting only jumps above 1e-10 it was 0.11, and 23
+    # runs changed their iteration count
+    for seed in range(10):
+        op = make_iid_gaussian(100, 200, seed)
+        y = op.apply(generate(SignalSpec(200, "gaussian_pwc", 1.0, 100 + seed), 10 + seed))
+        base = tvamp_solve(op, y, 1.0, SolverConfig(500))
+        for c in (1e-8, 1e-5, 1e-3, 1e3, 1e8):
+            rep = tvamp_solve(op, c * y, 1.0, SolverConfig(500))
+            assert rep.iters_run == base.iters_run
+            err = np.linalg.norm(rep.estimate / c - base.estimate)
+            assert err <= 1e-14 * np.linalg.norm(base.estimate)
 
 
 def test_divergence_matches_finite_difference_trace():
