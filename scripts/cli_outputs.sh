@@ -1,9 +1,9 @@
 #!/bin/sh
 # Regenerate the recorded CLI outputs: pt (with its curve), convergence and
-# solve for each solver, a column-signed pt on quasi_toeplitz, and a
-# column-signed WHT solve.
+# solve for each solver, the oracle solve's estimate as CSV, a column-signed
+# pt on quasi_toeplitz, and a column-signed WHT solve.
 #
-#   scripts/cli_outputs.sh DIR            write the 17 files into DIR
+#   scripts/cli_outputs.sh DIR            write the 18 files into DIR
 #   scripts/cli_outputs.sh --check DIR    also compare them with cli_outputs.sha256,
 #                                         and fail on a pt_*, curve_*, conv_* or
 #                                         solve_* file in DIR that it does not list
@@ -52,6 +52,7 @@ for s in ssamp_oracle ssamp_em tvamp; do
     ssamp convergence cfg_conv.json --solver "$s" --out "conv_$s.csv"
     ssamp solve cfg_conv.json --solver "$s" --out "solve_$s.json"
 done
+ssamp solve cfg_conv.json --out solve_ssamp_oracle.csv
 ssamp pt cfg_pt_signed.json --matrix quasi_toeplitz --out pt_quasi_toeplitz.csv
 ssamp solve cfg_signed.json --n 256 --matrix subsampled_wht --out solve_subsampled_wht.json
 

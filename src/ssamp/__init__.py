@@ -21,7 +21,7 @@ from .operators import (
     make_subsampled_dct,
     make_subsampled_wht,
 )
-from .signals import SignalSpec, generate, measure, nmse
+from .signals import generate, measure, nmse
 from .solver import (
     DivergenceError,
     PriorParams,

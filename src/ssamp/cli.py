@@ -14,6 +14,8 @@ import pathlib
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .harness import (
     SOLVERS,
     ExperimentConfig,
@@ -28,7 +30,6 @@ from .harness import (
     run_single_trial,
 )
 from .operators import KINDS
-from .signals import save_signal
 from .solver import DivergenceError
 
 
@@ -77,7 +78,7 @@ def _cmd_solve(config, out, fmt, args, progress) -> None:
         raise DivergenceError(result.iters)
     progress(f"nmse={result.nmse:.3e} iters={result.iters}")
     if fmt == "csv":
-        save_signal(out, report.estimate)
+        np.savetxt(out, report.estimate, fmt="%.17g")  # one round-trip decimal per line
     else:
         payload = {
             "n": config.n,

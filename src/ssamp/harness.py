@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .operators import (
     make_subsampled_dct,
     make_subsampled_wht,
 )
-from .signals import MODELS, SignalSpec, generate, measure, nmse
+from .signals import MODELS, generate, measure, nmse
 from .solver import (
     DivergenceError,
     PriorParams,
@@ -112,19 +113,20 @@ class ExperimentConfig:
     sign_randomize: bool = False
 
     def __post_init__(self):
-        # max_iters, tol and beta (as damping_beta) are checked by the SolverConfig
-        # built below.  A JSON 64.0 or 2e2 is a float, not an integer, and true is no
-        # number.  A negative seed_base would fail only in the first trial's SeedSequence.
+        # A JSON 64.0 or 2e2 is a float, not an integer, and true is no number.  A
+        # negative seed_base would fail only in the first trial's SeedSequence.  Each
+        # checked number is stored as the plain int or float it means, for JSON.
+        store = partial(object.__setattr__, self)
         for name, low in (("n", 2), ("trials", 1), ("seed_base", 0), ("col_weight", 1)):
-            check_number(name, getattr(self, name), low, integer=True)
+            store(name, int(check_number(name, getattr(self, name), low, integer=True)))
         if self.band is not None:  # unset: the full band n
-            check_number("band", self.band, 1, self.n, integer=True)
-        check_number("delta", self.delta, 0.0)
-        check_number("success_nmse", self.success_nmse, 0.0)
-        check_number("sigma0", self.sigma0, 0.0, open_low=True)
-        check_number("lam", self.lam, 0.0, open_low=True)
+            store("band", int(check_number("band", self.band, 1, self.n, integer=True)))
+        for name, positive in (
+            ("delta", False), ("success_nmse", False), ("sigma0", True), ("lam", True)
+        ):
+            store(name, float(check_number(name, getattr(self, name), 0.0, open_low=positive)))
         if self.q is not None:  # unset: the realized k / (n-1)
-            check_number("q", self.q, 0.0, 1.0)
+            store("q", float(check_number("q", self.q, 0.0, 1.0)))
         if not isinstance(self.sign_randomize, bool):
             raise ValueError(f"sign_randomize must be true or false, not {self.sign_randomize!r}")
         for name in ("grid_m_over_n", "grid_k_over_m"):
@@ -132,12 +134,11 @@ class ExperimentConfig:
             try:
                 if not isinstance(grid, Sequence) or not grid:
                     raise ValueError("no list")
-                for v in grid:
-                    check_number(name, v, 0.0, 1.0, open_low=True)
+                grid = tuple(float(check_number(name, v, 0.0, 1.0, open_low=True)) for v in grid)
+                store(name, grid)
             except ValueError:
                 what = f"{name} must be a list of numbers in (0, 1], not {grid!r}"
                 raise ValueError(what) from None
-            object.__setattr__(self, name, tuple(grid))
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.matrix not in KINDS:
@@ -162,9 +163,11 @@ class ExperimentConfig:
                 f"band {self.band} leaves columns unmeasured at m = {m} of a grid cell: "
                 f"it must exceed n - m = {self.n - m}"
             )
-        object.__setattr__(
-            self, "solver_config", SolverConfig(self.max_iters, self.tol, self.beta)
-        )
+        # the SolverConfig checks max_iters, tol and beta (as damping_beta), and stores them plain
+        store("solver_config", SolverConfig(self.max_iters, self.tol, self.beta))
+        store("max_iters", self.solver_config.max_iters)
+        store("tol", self.solver_config.tol)
+        store("beta", self.solver_config.damping_beta)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -250,13 +253,7 @@ def make_instance(
         derive_seed(config.seed_base, *cell, trial, purpose) for purpose in range(4)
     )
     op = build_operator(config, m, matrix_seed, sign_seed)
-    spec = SignalSpec(
-        n=config.n,
-        model=config.signal_model,
-        sigma0=config.sigma0,
-        seed=signal_seed,
-    )
-    x = generate(spec, k)
+    x = generate(config.n, k, config.sigma0, signal_seed, config.signal_model)
     y = measure(op, x, config.delta, noise_seed)
     return op, x, y
 
@@ -448,17 +445,9 @@ def curve_table(curve: Sequence[tuple[float, float]]) -> Table:
     )
 
 
-def _json_default(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"cannot serialize {type(value)}")
-
-
 def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".17g")
 
 
@@ -474,7 +463,7 @@ def emit(table: Table, fmt: str, path) -> None:
     elif fmt == "json":
         payload = [dict(zip(table.columns, row)) for row in table.rows]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, default=_json_default)
+            json.dump(payload, fh, indent=1)
             fh.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")

@@ -9,56 +9,36 @@ cumulative sum of the differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import LinearOperator, check_number
 
-__all__ = ["SignalSpec", "generate", "measure", "nmse", "save_signal"]
+__all__ = ["generate", "measure", "nmse"]
 
 MODELS = ("gaussian_pwc", "bernoulli_pwc")
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Sampling description for one synthetic signal.
-
-    ``model`` selects the jump-size law: "gaussian_pwc" draws N(0, sigma0^2),
-    "bernoulli_pwc" draws +-sigma0 with equal probability; ``sigma0`` is
-    the jump scale.
-    """
-
-    n: int
-    model: str
-    sigma0: float
-    seed: int
-
-    def __post_init__(self):
-        check_number("n", self.n, 2, integer=True)
-        if self.model not in MODELS:
-            raise ValueError(f"unknown signal model {self.model!r}")
-        check_number("sigma0", self.sigma0, 0.0, open_low=True)
-
-
-def _draw_jumps(rng, model, sigma0, count):
-    if model == "gaussian_pwc":
-        return rng.normal(0.0, sigma0, size=count)
-    return sigma0 * (rng.integers(0, 2, size=count) * 2 - 1).astype(float)
-
-
-def generate(spec: SignalSpec, k: int) -> np.ndarray:
-    """Draw one signal with exactly k jumps.
+def generate(n: int, k: int, sigma0: float, seed: int, model: str = "gaussian_pwc") -> np.ndarray:
+    """Draw one length-n signal with exactly k jumps.
 
     k difference positions are chosen uniformly without replacement and
-    only those receive slab draws.
+    only those receive slab draws.  ``model`` selects the jump-size law:
+    "gaussian_pwc" draws N(0, sigma0^2), "bernoulli_pwc" draws +-sigma0
+    with equal probability.
     """
-    d = spec.n - 1
+    check_number("n", n, 2, integer=True)
+    if model not in MODELS:
+        raise ValueError(f"unknown signal model {model!r}")
+    check_number("sigma0", sigma0, 0.0, open_low=True)
+    d = n - 1
     check_number("k", k, 0, d, integer=True)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     u = np.zeros(d)
     pos = rng.choice(d, size=k, replace=False)
-    u[pos] = _draw_jumps(rng, spec.model, spec.sigma0, k)
+    if model == "gaussian_pwc":
+        u[pos] = rng.normal(0.0, sigma0, size=k)
+    else:
+        u[pos] = sigma0 * (rng.integers(0, 2, size=k) * 2 - 1).astype(float)
     return np.concatenate([[0.0], np.cumsum(u)])
 
 
@@ -83,11 +63,3 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     if denom == 0.0:
         return err
     return err / denom
-
-
-def save_signal(path, x: np.ndarray) -> None:
-    """One decimal per line, full round-trip precision."""
-    with open(path, "w") as fh:
-        for v in np.asarray(x, dtype=float):
-            fh.write(format(v, ".17g"))
-            fh.write("\n")

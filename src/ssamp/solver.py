@@ -87,17 +87,21 @@ class PriorParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The AMP loop settings both solvers take, checked on construction."""
+    """The AMP loop settings both solvers take, checked on construction and
+    stored as plain numbers."""
 
     max_iters: int = 2000
     tol: float = 1e-14
     damping_beta: float | None = None  # None: the operator's default_beta
 
     def __post_init__(self):
-        check_number("max_iters", self.max_iters, 1, integer=True)
-        check_number("tol", self.tol, 0.0, finite=False)  # tol = inf stops after one step
+        max_iters = check_number("max_iters", self.max_iters, 1, integer=True)
+        object.__setattr__(self, "max_iters", int(max_iters))
+        tol = check_number("tol", self.tol, 0.0, finite=False)  # tol = inf stops after one step
+        object.__setattr__(self, "tol", float(tol))
         if self.damping_beta is not None:
-            check_number("damping_beta", self.damping_beta, 0.0, 1.0, open_low=True)
+            beta = check_number("damping_beta", self.damping_beta, 0.0, 1.0, open_low=True)
+            object.__setattr__(self, "damping_beta", float(beta))
 
 
 @dataclass(frozen=True)
@@ -212,8 +216,10 @@ def amp_loop(
         if not np.isfinite(truth).all():
             raise ValueError("truth must be finite")
         truth_sq = float(np.sum(truth**2))  # signals.nmse's denominator, once per solve
-    if target_nmse is not None and (truth is None or not target_nmse >= 0.0):  # NaN too
-        raise ValueError("target_nmse must be nonnegative and needs a truth")
+    if target_nmse is not None:
+        check_number("target_nmse", target_nmse, 0.0, finite=False)
+        if truth is None:
+            raise ValueError("target_nmse needs a truth")
     trace = None if truth is None else []
     mu = np.zeros(op.n)
     r = y.copy()

@@ -32,10 +32,14 @@ def test_solve_writes_json_payload(tmp_path):
 
 
 def test_solve_csv_writes_loadable_signal(tmp_path):
-    out = tmp_path / "estimate.csv"
+    # one round-trip decimal per line: the CSV reads back to the JSON payload's estimate
+    out, ref = tmp_path / "estimate.csv", tmp_path / "estimate.json"
     assert main(["solve", "--n", "64", "--out", str(out)]) == 0
-    x = np.loadtxt(out)
-    assert x.shape == (64,)
+    assert main(["solve", "--n", "64", "--out", str(ref)]) == 0
+    estimate = json.loads(ref.read_text())["estimate"]
+    assert len(estimate) == 64
+    assert out.read_text() == "".join(f"{v:.17g}\n" for v in estimate)
+    assert np.array_equal(np.loadtxt(out), estimate)
 
 
 def test_solve_reproduces_across_runs(tmp_path):
@@ -210,6 +214,10 @@ def test_unknown_config_key_errors(tmp_path, capsys):
     cfg = _write_config(tmp_path, n=64, bogus=True)
     assert main(["solve", cfg]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([{"n": 64}]))
+    assert main(["solve", str(listed)]) == 1
+    assert "error: config file must hold a JSON object" in capsys.readouterr().err
 
 
 def test_non_integer_config_fields_error_before_any_run(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 import ssamp.harness
 from oracles import dense_matrix
 from ssamp.harness import (
+    SOLVERS,
     ExperimentConfig,
     PhaseCell,
     Table,
@@ -193,6 +194,29 @@ def test_config_lists_become_tuples():
     assert hash(cfg) == hash(dataclasses.replace(cfg))
 
 
+def test_config_stores_plain_numbers():
+    # numpy scalars, and ints where floats go, are stored as the plain numbers they
+    # mean: the fields dump to JSON (an np.int64 n used to raise TypeError), and a
+    # trial runs the same bytes
+    plain = dict(n=64, grid_m_over_n=(0.5, 1.0), grid_k_over_m=(0.2,), trials=2, sigma0=2.0,
+                 q=0.1, lam=1.0, delta=0.0, max_iters=50, tol=0.0, beta=0.5, seed_base=3)
+    numpy = dict(n=np.int64(64), grid_m_over_n=[np.float64(0.5), 1],
+                 grid_k_over_m=[np.float64(0.2)], trials=np.int64(2), sigma0=2,
+                 q=np.float64(0.1), lam=1, delta=0, max_iters=np.int64(50), tol=0,
+                 beta=np.float64(0.5), seed_base=np.int64(3))
+    fields = dataclasses.asdict(ExperimentConfig(**numpy))
+    assert fields == dataclasses.asdict(ExperimentConfig(**plain))
+    assert json.loads(json.dumps(fields))["n"] == 64
+    for name, value in fields.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            assert type(v) in (int, float, str, bool, type(None)), name
+    assert type(fields["sigma0"]) is float and type(fields["grid_m_over_n"][1]) is float
+    for solver in SOLVERS:
+        want, got = (run_single_trial(ExperimentConfig(solver=solver, **c), 0.5, 0.2, 32, 6, 0)
+                     for c in (plain, numpy))
+        assert got.report.estimate.tobytes() == want.report.estimate.tobytes()
+
+
 # ---------------------------------------------------------------- operators
 
 
@@ -306,6 +330,18 @@ def test_make_instance_replays_the_single_trial():
     assert trial.iters == report.iters_run
     assert trial.nmse == nmse(x, report.estimate)
     assert trial.report.estimate.tobytes() == report.estimate.tobytes()
+
+
+def test_single_trial_q_overrides_the_prior():
+    # a set q replaces the oracle's k / (n - 1), and EM's default_em_params start
+    cfg = ExperimentConfig(n=200, q=0.08, sigma0=2.0, delta=1e-6, max_iters=300)
+    op, x, y = make_instance(cfg, 0.5, 0.1, 100, 10, 3)
+    params = PriorParams(0.08, 4.0, 1e-6)
+    for solver, em in (("ssamp_oracle", False), ("ssamp_em", True)):
+        report = solve(op, y, params, cfg.solver_config, truth=x, em=em)
+        trial = run_single_trial(dataclasses.replace(cfg, solver=solver), 0.5, 0.1, 100, 10, 3)
+        assert trial.report.estimate.tobytes() == report.estimate.tobytes()
+        assert trial.iters == report.iters_run
 
 
 def test_single_trial_em_carries_delta(monkeypatch):

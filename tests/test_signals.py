@@ -4,34 +4,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssamp.operators import make_iid_gaussian, make_subsampled_dct
-from ssamp.signals import SignalSpec, generate, measure, nmse, save_signal
+from ssamp.signals import generate, measure, nmse
 
 
 def test_first_sample_anchored_at_zero():
-    x = generate(SignalSpec(100, "gaussian_pwc", 1.0, 0), 10)
+    x = generate(100, 10, 1.0, 0)
     assert x[0] == 0.0
 
 
 def test_jump_count_matches_nonzero_differences():
-    x = generate(SignalSpec(500, "gaussian_pwc", 1.0, 1), 40)
+    x = generate(500, 40, 1.0, 1)
     assert np.count_nonzero(np.diff(x)) == 40
 
 
 def test_force_k_is_exact():
     for k in (0, 1, 17, 99):
-        x = generate(SignalSpec(100, "gaussian_pwc", 1.0, 7), k)
+        x = generate(100, k, 1.0, 7)
         assert np.count_nonzero(np.diff(x)) == k
 
 
 def test_force_k_rejects_out_of_range():
     with pytest.raises(ValueError):
-        generate(SignalSpec(10, "gaussian_pwc", 1.0, 0), 10)
+        generate(10, 10, 1.0, 0)
     with pytest.raises(ValueError):
-        generate(SignalSpec(10, "gaussian_pwc", 1.0, 0), -1)
+        generate(10, -1, 1.0, 0)
 
 
 def test_bernoulli_jumps_have_fixed_magnitude():
-    x = generate(SignalSpec(400, "bernoulli_pwc", 2.5, 3), 40)
+    x = generate(400, 40, 2.5, 3, "bernoulli_pwc")
     jumps = np.diff(x)
     active = jumps[jumps != 0.0]
     assert active.size == 40
@@ -39,7 +39,7 @@ def test_bernoulli_jumps_have_fixed_magnitude():
 
 
 def test_gaussian_jump_scale():
-    x = generate(SignalSpec(20000, "gaussian_pwc", 1.5, 9), 4000)
+    x = generate(20000, 4000, 1.5, 9)
     jumps = np.diff(x)
     active = jumps[jumps != 0.0]
     assert active.size == 4000
@@ -47,15 +47,14 @@ def test_gaussian_jump_scale():
 
 
 def test_generation_deterministic_in_seed():
-    spec = SignalSpec(64, "gaussian_pwc", 1.0, 12)
-    x1 = generate(spec, 6)
-    x2 = generate(spec, 6)
+    x1 = generate(64, 6, 1.0, 12)
+    x2 = generate(64, 6, 1.0, 12)
     assert np.array_equal(x1, x2)
 
 
 def test_measure_noiseless_is_exact():
     op = make_iid_gaussian(32, 64, 0)
-    x = generate(SignalSpec(64, "gaussian_pwc", 1.0, 5), 6)
+    x = generate(64, 6, 1.0, 5)
     y = measure(op, x, 0.0, 123)
     assert np.array_equal(y, op.apply(x))
 
@@ -82,6 +81,8 @@ def test_nmse_basics():
     # zero truth falls back to the plain squared norm
     e = np.array([0.3, -0.4, 0.0])
     assert nmse(np.zeros(3), e) == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="same shape"):
+        nmse(x, np.zeros(4))
 
 
 @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
@@ -94,17 +95,20 @@ def test_nmse_scale_invariant(scale, seed):
 
 
 def test_signal_text_roundtrip(tmp_path):
-    x = generate(SignalSpec(50, "gaussian_pwc", 1.0, 77), 7)
+    # the solve CSV format: one round-trip decimal per line reads back bit for bit
+    x = generate(50, 7, 1.0, 77)
     path = tmp_path / "signal.txt"
-    save_signal(path, x)
+    np.savetxt(path, x, fmt="%.17g")
+    assert path.read_text() == "".join(f"{v:.17g}\n" for v in x)
     assert np.array_equal(np.loadtxt(path), x)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SignalSpec(1, "gaussian_pwc", 1.0, 0)
-    with pytest.raises(ValueError):
-        SignalSpec(10, "unknown", 1.0, 0)
+def test_generate_validation():
+    # n, model and sigma0 are checked before k, each error naming its field
+    with pytest.raises(ValueError, match="^n must be at least 2"):
+        generate(1, 5, 0.0, 0, "unknown")
+    with pytest.raises(ValueError, match="unknown signal model 'unknown'"):
+        generate(10, 20, 0.0, 0, "unknown")
     for sigma0 in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            SignalSpec(10, "gaussian_pwc", sigma0, 0)
+        with pytest.raises(ValueError, match="^sigma0 must be finite and greater than 0"):
+            generate(10, 20, sigma0, 0)

@@ -18,7 +18,7 @@ from ssamp.operators import (
     make_subsampled_dct,
 )
 from oracles import dense_matrix, em_oracle, solve_reference, tvamp_solve_reference
-from ssamp.signals import SignalSpec, generate, measure, nmse
+from ssamp.signals import generate, measure, nmse
 from ssamp.solver import (
     Q_MAX,
     Q_MIN,
@@ -49,8 +49,7 @@ EM_S0_NEW = 0.91929286264745691
 
 def _easy_instance(n=200, m=100, k=10, op_seed=0, sig_seed=7, delta=0.0):
     op = make_iid_gaussian(m, n, op_seed)
-    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=sig_seed)
-    x = generate(spec, k)
+    x = generate(n, k, 1.0, sig_seed)
     y = measure(op, x, delta, 3)
     params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=delta)
     return op, x, y, params
@@ -193,22 +192,22 @@ def test_public_scalars_take_numbers_only():
     ExperimentConfig, SolverConfig and tvamp_solve's lam have tables of their own."""
     op = make_iid_gaussian(8, 16, 0)
     x, rho = np.arange(16.0), np.random.default_rng(2).normal(size=16)
-    spec = dict(n=16, model="gaussian_pwc", sigma0=1.0, seed=3)
+
+    def solve_to(target):
+        return _outcome(lambda: solve(op, op.apply(x), PriorParams(0.1, 1.0), truth=x,
+                                      target_nmse=target))
+
     table = [
         # (field, a call with the value, the plain value, the same value in other types)
         ("q", lambda v: PriorParams(v, 1.0), 0.0, (0, np.float64(0.0))),
         ("sigma0_sq", lambda v: PriorParams(0.1, v), 2.0, (2, np.float64(2.0))),
         ("delta", lambda v: PriorParams(0.1, 1.0, v), 1.0, (1, np.float64(1.0))),
         ("lam", lambda v: tv_prox(rho, v).tobytes(), 2.0, (2, np.float64(2.0))),
-        ("n", lambda v: generate(SignalSpec(**{**spec, "n": v}), 3).tobytes(), 16, (np.int64(16),)),
-        (
-            "sigma0",
-            lambda v: generate(SignalSpec(**{**spec, "sigma0": v}), 3).tobytes(),
-            2.0,
-            (2, np.float64(2.0)),
-        ),
-        ("k", lambda v: generate(SignalSpec(**spec), v).tobytes(), 3, (np.int64(3),)),
+        ("n", lambda v: generate(v, 3, 1.0, 3).tobytes(), 16, (np.int64(16),)),
+        ("k", lambda v: generate(16, v, 1.0, 3).tobytes(), 3, (np.int64(3),)),
+        ("sigma0", lambda v: generate(16, 3, v, 3).tobytes(), 2.0, (2, np.float64(2.0))),
         ("delta", lambda v: measure(op, x, v, 4).tobytes(), 1.0, (1, np.float64(1.0))),
+        ("target_nmse", solve_to, 1.0, (1, np.float64(1.0))),
         ("m", lambda v: make_iid_gaussian(v, 16, 5).apply(x).tobytes(), 8, (np.int64(8),)),
         ("n", lambda v: make_subsampled_dct(8, v, 5).apply(x).tobytes(), 16, (np.int64(16),)),
         ("band", lambda v: make_quasi_toeplitz(8, 16, v, 5).apply(x).tobytes(), 9, (np.int64(9),)),
@@ -241,8 +240,7 @@ def test_both_solvers_damp_by_operator_default_beta():
     # config sets one
     n, m, k = 128, 64, 6
     op = column_sign_randomize(make_quasi_toeplitz(m, n, n, 3), 4)
-    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=5)
-    x = generate(spec, k)
+    x = generate(n, k, 1.0, 5)
     y = measure(op, x, 1e-6, 6)
     params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-6)
 
@@ -697,11 +695,7 @@ def test_variances_stay_positive():
         m = max(2, int(n * rng.uniform(0.3, 0.9)))
         k = max(1, int(0.1 * m))
         op = make_iid_gaussian(m, n, int(rng.integers(1 << 30)))
-        spec = SignalSpec(
-            n=n, model="gaussian_pwc", sigma0=1.0,
-            seed=int(rng.integers(1 << 30)),
-        )
-        x = generate(spec, min(k, n - 1))
+        x = generate(n, min(k, n - 1), 1.0, int(rng.integers(1 << 30)))
         y = measure(op, x, 0.0, int(rng.integers(1 << 30)))
         params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-12)
         denoiser = ChainDenoiser(n, m, params)
@@ -751,6 +745,8 @@ def test_solve_validates_shape_and_params():
     for bad in (np.nan, -1e-2):
         with pytest.raises(ValueError, match="target_nmse"):
             solve(op, np.zeros(10), p, truth=x, target_nmse=bad)
+    with pytest.raises(ValueError, match=r"truth must have shape \(20,\)"):
+        solve(op, np.zeros(10), p, truth=np.zeros(19))
     for bad in (np.nan, np.inf):
         truth = x.copy()
         truth[5] = bad
@@ -821,8 +817,7 @@ def test_divergence_raises_named_iteration():
     # combination; the solver must fail loudly, not return garbage
     n, m, k = 1024, 256, 26
     op = column_sign_randomize(make_quasi_toeplitz(m, n, n, 0), 5000)
-    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1000)
-    x = generate(spec, k)
+    x = generate(n, k, 1.0, 1000)
     y = measure(op, x, 0.0, 0)
     params = PriorParams(q=k / (n - 1), sigma0_sq=1.0, delta=1e-12)
     with np.errstate(all="ignore"):
@@ -963,8 +958,7 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
     )
     outcomes, stalls = [], []
     for case, op in enumerate(ops):
-        spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=50 + case)
-        x = generate(spec, k)
+        x = generate(n, k, 1.0, 50 + case)
         # a zero truth makes the trace the plain squared norm of the estimate
         inputs = ((0.0, x, 1e-8), (1e-4, x, None), (1e-4, None, None), (1e-4, np.zeros(n), None))
         for delta, truth, target in inputs:
@@ -996,14 +990,12 @@ def test_amp_loop_matches_frozen_loops_byte_for_byte():
 
     # diverging runs: undamped full-band quasi-Toeplitz rows, and a TV threshold far too small
     op = column_sign_randomize(make_quasi_toeplitz(128, 256, 256, 0), 5000)
-    spec = SignalSpec(n=256, model="gaussian_pwc", sigma0=1.0, seed=1000)
-    x = generate(spec, 12)
+    x = generate(256, 12, 1.0, 1000)
     y = measure(op, x, 0.0, 0)
     params = PriorParams(q=12 / 255, sigma0_sq=1.0, delta=1e-12)
     config = SolverConfig(max_iters=2000, damping_beta=1.0)
     tv_op = make_iid_gaussian(64, 128, 0)
-    spec = SignalSpec(n=128, model="gaussian_pwc", sigma0=1.0, seed=1000)
-    tv_x = generate(spec, 6)
+    tv_x = generate(128, 6, 1.0, 1000)
     tv_y = measure(tv_op, tv_x, 0.0, 0)
     tv = SolverConfig(max_iters=3000, tol=0.0)
     with np.errstate(all="ignore"):

@@ -10,7 +10,7 @@ from oracles import (
 )
 import ssamp.tvamp
 from ssamp.operators import make_iid_gaussian
-from ssamp.signals import SignalSpec, generate, measure, nmse
+from ssamp.signals import generate, measure, nmse
 from ssamp.solver import DivergenceError, SolverConfig
 from ssamp.tvamp import tv_divergence, tv_prox, tvamp_solve
 
@@ -177,7 +177,7 @@ def test_tvamp_estimate_scales_with_the_measurements():
     # runs changed their iteration count
     for seed in range(10):
         op = make_iid_gaussian(100, 200, seed)
-        y = op.apply(generate(SignalSpec(200, "gaussian_pwc", 1.0, 100 + seed), 10 + seed))
+        y = op.apply(generate(200, 10 + seed, 1.0, 100 + seed))
         base = tvamp_solve(op, y, 1.0, SolverConfig(500))
         for c in (1e-8, 1e-5, 1e-3, 1e3, 1e8):
             rep = tvamp_solve(op, c * y, 1.0, SolverConfig(500))
@@ -264,8 +264,7 @@ def test_easy_point_recovery():
     ok = 0
     for seed in range(20):
         op = make_iid_gaussian(m, n, seed)
-        spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1000 + seed)
-        x = generate(spec, k)
+        x = generate(n, k, 1.0, 1000 + seed)
         y = measure(op, x, 0.0, 0)
         rep = tvamp_solve(op, y, 1.0, SolverConfig(max_iters=100), truth=x)
         ok += nmse(x, rep.estimate) <= 1e-4
@@ -277,8 +276,7 @@ def test_divergence_raises():
     # one and the residual recursion blows up
     n, m, k = 625, 312, 31
     op = make_iid_gaussian(m, n, 3)
-    spec = SignalSpec(n=n, model="gaussian_pwc", sigma0=1.0, seed=1003)
-    x = generate(spec, k)
+    x = generate(n, k, 1.0, 1003)
     y = measure(op, x, 0.0, 0)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError):
@@ -287,8 +285,7 @@ def test_divergence_raises():
 
 def test_trace_shape_and_target_stop():
     op = make_iid_gaussian(60, 120, 1)
-    spec = SignalSpec(n=120, model="gaussian_pwc", sigma0=1.0, seed=5)
-    x = generate(spec, 6)
+    x = generate(120, 6, 1.0, 5)
     y = measure(op, x, 0.0, 0)
     rep = tvamp_solve(op, y, 1.0, SolverConfig(max_iters=100), truth=x, target_nmse=1e-3)
     assert rep.converged
