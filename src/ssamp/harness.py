@@ -113,20 +113,21 @@ class ExperimentConfig:
     sign_randomize: bool = False
 
     def __post_init__(self):
-        # A JSON 64.0 or 2e2 is a float, not an integer, and true is no number.  A
-        # negative seed_base would fail only in the first trial's SeedSequence.  Each
-        # checked number is stored as the plain int or float it means, for JSON.
+        # A JSON 64.0 or 2e2 is a float, not an integer, and true is no number.  SeedSequence
+        # takes a seed_base of any size, but a negative one fails only at the first trial.
+        # Each checked number is stored as the plain int or float it means, for JSON.
         store = partial(object.__setattr__, self)
         for name, low in (("n", 2), ("trials", 1), ("seed_base", 0), ("col_weight", 1)):
-            store(name, int(check_number(name, getattr(self, name), low, integer=True)))
+            finite = name != "seed_base"
+            store(name, int(check_number(name, getattr(self, name), low, integer=True, finite=finite)))
         if self.band is not None:  # unset: the full band n
             store("band", int(check_number("band", self.band, 1, self.n, integer=True)))
         for name, positive in (
             ("delta", False), ("success_nmse", False), ("sigma0", True), ("lam", True)
         ):
-            store(name, float(check_number(name, getattr(self, name), 0.0, open_low=positive)))
+            store(name, check_number(name, getattr(self, name), 0.0, open_low=positive))
         if self.q is not None:  # unset: the realized k / (n-1)
-            store("q", float(check_number("q", self.q, 0.0, 1.0)))
+            store("q", check_number("q", self.q, 0.0, 1.0))
         if not isinstance(self.sign_randomize, bool):
             raise ValueError(f"sign_randomize must be true or false, not {self.sign_randomize!r}")
         for name in ("grid_m_over_n", "grid_k_over_m"):
@@ -134,8 +135,7 @@ class ExperimentConfig:
             try:
                 if not isinstance(grid, Sequence) or not grid:
                     raise ValueError("no list")
-                grid = tuple(float(check_number(name, v, 0.0, 1.0, open_low=True)) for v in grid)
-                store(name, grid)
+                store(name, tuple(check_number(name, v, 0.0, 1.0, open_low=True) for v in grid))
             except ValueError:
                 what = f"{name} must be a list of numbers in (0, 1], not {grid!r}"
                 raise ValueError(what) from None

@@ -53,23 +53,26 @@ KINDS = (
 def check_number(
     name, value, low=-math.inf, high=math.inf, *, integer=False, open_low=False, finite=True
 ):
-    """Return ``value`` if it is a number (an integral one with ``integer``)
-    in [low, high], or in (low, high] with ``open_low``, and finite unless
-    ``finite`` is false; otherwise raise a ValueError naming ``name``.
-
-    bool is an int subclass, but True is no number here.  NaN fails every
-    range.
-    """
+    """Return ``value`` (a float unless ``integer``) if it is a number (an
+    integral one with ``integer``) in [low, high], or in (low, high] with
+    ``open_low``, and finite unless ``finite`` is false; otherwise raise a
+    ValueError naming ``name``.  bool is an int subclass, but True is no
+    number here.  NaN fails every range, and an int too large for a float
+    is infinite."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, not {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf if value > 0 else -math.inf
     above = low < value if open_low else low <= value
-    if above and value <= high and (not finite or -math.inf < value < math.inf):
-        return value
+    if above and value <= high and (not finite or math.isfinite(real)):
+        return value if integer else real
     rules = [f"{'greater than' if open_low else 'at least'} {low}"] if low > -math.inf else []
     if high < math.inf:
         rules.append(f"at most {high}")
-    if finite and not integer and len(rules) < 2:
+    if finite and (not integer or math.isinf(real)) and len(rules) < 2:
         rules.insert(0, "finite")
     raise ValueError(f"{name} must be {' and '.join(rules)}, not {value!r}")
 

@@ -10,11 +10,10 @@ The chain denoiser (``ChainDenoiser``) does per call, in order:
 
 1. the shared channel variance theta: delta plus the running coordinate
    variances over m, or with EM the residual energy
-2. rightward message update along the difference chain (Jacobi: reads the
-   previous iteration's messages)
-3. leftward message update: the rightward update on reversed views
-4. coordinate denoising through the spike-and-slab mixture posterior
-5. optional expectation-maximization refresh of (q, sigma0_sq), used from
+2. rightward and leftward message updates along the difference chain
+   (Jacobi: each reads the previous iteration's messages)
+3. coordinate denoising through the spike-and-slab mixture posterior
+4. optional expectation-maximization refresh of (q, sigma0_sq), used from
    the next call on
 """
 
@@ -38,7 +37,6 @@ __all__ = [
     "THETA_FLOOR",
     "STALL_WINDOW",
     "STALL_BAND",
-    "r2p_update",
     "em_posteriors",
     "em_update",
     "default_em_params",
@@ -82,7 +80,7 @@ class PriorParams:
         q, s0 = check_number("q", self.q), check_number("sigma0_sq", self.sigma0_sq)
         object.__setattr__(self, "q", float(min(max(q, Q_MIN), Q_MAX)))
         object.__setattr__(self, "sigma0_sq", float(max(s0, SIGMA0_SQ_MIN)))
-        object.__setattr__(self, "delta", float(check_number("delta", self.delta, 0.0)))
+        object.__setattr__(self, "delta", check_number("delta", self.delta, 0.0))
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,10 @@ class SolverConfig:
         max_iters = check_number("max_iters", self.max_iters, 1, integer=True)
         object.__setattr__(self, "max_iters", int(max_iters))
         tol = check_number("tol", self.tol, 0.0, finite=False)  # tol = inf stops after one step
-        object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "tol", tol)
         if self.damping_beta is not None:
             beta = check_number("damping_beta", self.damping_beta, 0.0, 1.0, open_low=True)
-            object.__setattr__(self, "damping_beta", float(beta))
+            object.__setattr__(self, "damping_beta", beta)
 
 
 @dataclass(frozen=True)
@@ -111,24 +109,6 @@ class SolveReport:
     converged: bool
     final_params: PriorParams | None
     nmse_trace: np.ndarray | None = None
-
-
-def r2p_update(
-    rho: np.ndarray, theta: float, mean: np.ndarray, var: np.ndarray, params: PriorParams
-):
-    """Rightward chain messages from pseudodata rho and the previous (mean, var).
-
-    Coordinate i receives the single-message posterior of coordinate i-1,
-    which fuses rho[i-1] with the previous iteration's rightward message
-    there.  The first coordinate has no upstream neighbor: its message
-    stays pinned at mean zero and the slab variance.  On reversed views of
-    rho and the leftward messages it gives the leftward messages, reversed.
-    """
-    s0 = params.sigma0_sq
-    out = np.empty((2, len(rho)))
-    out[0, 0], out[1, 0] = 0.0, s0
-    out[0, 1:], out[1, 1:] = phi_zeta(rho[:-1], theta, (mean[:-1], var[:-1]), params.q, s0)
-    return out[0], out[1]
 
 
 def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
@@ -289,10 +269,15 @@ class ChainDenoiser:
         params = self.params
         theta = energy if self.em else params.delta + float(self.sigma_sq.sum()) / self.m
         self.theta = theta = max(theta, THETA_FLOOR)
-        r2p = r2p_update(rho, theta, *self.r2p, params)
-        l2m, l2v = r2p_update(rho[::-1], theta, self.l2p[0][::-1], self.l2p[1][::-1], params)
-        self.r2p, self.l2p = r2p, (l2m[::-1], l2v[::-1])
-        mu, self.sigma_sq = eta_gamma(rho, theta, self.r2p, self.l2p, params.q, params.sigma0_sq)
+        q, s0 = params.q, params.sigma0_sq
+        # i's rightward message comes from neighbor i - 1, its leftward one from i + 1, and
+        # an end lacking one stays (0, s0); one (4, n) block page-faults ~900 times at 16384
+        r2p, l2p = np.empty((2, len(rho))), np.empty((2, len(rho)))
+        r2p[:, 0] = l2p[:, -1] = 0.0, s0
+        r2p[0, 1:], r2p[1, 1:] = phi_zeta(rho[:-1], theta, [a[:-1] for a in self.r2p], q, s0)
+        l2p[0, :-1], l2p[1, :-1] = phi_zeta(rho[1:], theta, [a[1:] for a in self.l2p], q, s0)
+        self.r2p, self.l2p = tuple(r2p), tuple(l2p)
+        mu, self.sigma_sq = eta_gamma(rho, theta, self.r2p, self.l2p, q, s0)
         mean_eta_prime = float(self.sigma_sq.sum()) / self.sigma_sq.size / theta
         if self.em:
             self.params = em_update(rho, theta, params)

@@ -38,7 +38,7 @@ def tv_prox(values: np.ndarray, lam: float) -> np.ndarray:
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    lam = float(check_number("lam", lam, 0.0))
+    lam = check_number("lam", lam, 0.0)
     n = y.size
     if lam == 0.0 or n <= 1:
         return y.copy()

@@ -93,6 +93,16 @@ def test_config_validation():
                 ExperimentConfig(**{name: value})
     with pytest.raises(ValueError, match="seed_base must be at least 0"):
         ExperimentConfig(seed_base=-1)
+    # an integer too large for a float is infinite: no finite field takes it, tol
+    # reads it as infinity, and a seed of any size still runs its trials
+    for name in ("n", "trials", "col_weight", "delta", "success_nmse", "sigma0", "q", "lam",
+                 "beta", "max_iters"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ExperimentConfig(**{name: 10**400})
+    assert ExperimentConfig(tol=10**400).tol == float("inf")
+    huge = ExperimentConfig(n=16, seed_base=10**400, max_iters=20)
+    assert huge.seed_base == 10**400
+    assert run_single_trial(huge, 0.5, 0.25, 8, 2, 0).iters >= 1
     cfg = ExperimentConfig(grid_m_over_n=[np.float64(0.5), 1], q=np.float64(0.1), lam=2)
     assert cfg.grid_m_over_n == (0.5, 1) and cfg.q == 0.1
 

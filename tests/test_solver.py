@@ -17,7 +17,7 @@ from ssamp.operators import (
     make_sparse_bernoulli,
     make_subsampled_dct,
 )
-from oracles import dense_matrix, em_oracle, solve_reference, tvamp_solve_reference
+from oracles import _r2p_reference, dense_matrix, em_oracle, solve_reference, tvamp_solve_reference
 from ssamp.signals import generate, measure, nmse
 from ssamp.solver import (
     Q_MAX,
@@ -32,7 +32,6 @@ from ssamp.solver import (
     default_em_params,
     em_posteriors,
     em_update,
-    r2p_update,
     solve,
 )
 import ssamp.tvamp
@@ -187,9 +186,11 @@ def test_solver_config_validation():
 
 
 def test_public_scalars_take_numbers_only():
-    """A bool or a string in a public scalar is a ValueError that names it; a numpy
-    scalar, or an int where a float goes, means what the plain number means.
-    ExperimentConfig, SolverConfig and tvamp_solve's lam have tables of their own."""
+    """A bool, a string or an integer too large for a float in a public scalar is a
+    ValueError that names it; a numpy scalar, or an int where a float goes, means what
+    the plain number means.  target_nmse takes infinity, and so reads that integer as
+    infinity.  ExperimentConfig, SolverConfig and tvamp_solve's lam have tables of their
+    own."""
     op = make_iid_gaussian(8, 16, 0)
     x, rho = np.arange(16.0), np.random.default_rng(2).normal(size=16)
 
@@ -219,11 +220,12 @@ def test_public_scalars_take_numbers_only():
         ),
     ]
     for name, call, plain, same in table:
-        for bad in (True, str(plain)):
+        for bad in (True, str(plain)) + (() if name == "target_nmse" else (10**400,)):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 call(bad)
         for value in same:
             assert call(value) == call(plain)
+    assert solve_to(10**400) == solve_to(np.inf)
     # solve's em is a flag: a truthy "no" used to run EM
     for bad in ("no", 1, None):
         with pytest.raises(ValueError, match="^em must be True or False"):
@@ -313,27 +315,41 @@ def test_pseudodata_theta_floor():
 # ---------------------------------------------------------------- chain messages
 
 
+def _chain_call(st0, params):
+    """One EM chain-denoiser call on a random state at energy st0.theta."""
+    den = ChainDenoiser(st0.rho.size, 2, params, em=True)
+    den.r2p, den.l2p = st0.r2p, st0.l2p
+    mu, mep = den(st0.rho, st0.theta)
+    return den, mu, mep
+
+
 def test_r2p_boundary_pinned_and_shifted():
     st0 = _random_state(5, 11)
     params = PriorParams(q=0.15, sigma0_sq=0.8)
-    mean, var = r2p_update(st0.rho, st0.theta, *st0.r2p, params)
-    assert mean[0] == 0.0
-    assert var[0] == params.sigma0_sq
-    # each interior entry equals the one-coordinate single-message posterior
-    # of its left neighbor, fed by the previous iteration's message there
-    for i in range(1, 5):
-        at = slice(i - 1, i)
-        msg = (st0.r2p[0][at], st0.r2p[1][at])
-        (em,), (ev,) = phi_zeta(st0.rho[at], st0.theta, msg, params.q, params.sigma0_sq)
-        assert mean[i] == pytest.approx(em, rel=1e-13)
-        assert var[i] == pytest.approx(ev, rel=1e-13)
+    den, _, _ = _chain_call(st0, params)
+    # rightward messages come from the left neighbor, leftward ones from the
+    # right neighbor; the end without that neighbor stays pinned at (0, s0)
+    for (mean, var), old, end, step in ((den.r2p, st0.r2p, 0, -1), (den.l2p, st0.l2p, 4, 1)):
+        assert mean[end] == 0.0
+        assert var[end] == params.sigma0_sq
+        # each other entry equals the one-coordinate single-message posterior
+        # of its neighbor, fed by the previous iteration's message there
+        for i in range(5):
+            if i == end:
+                continue
+            at = slice(i + step, i + step + 1)
+            msg = (old[0][at], old[1][at])
+            (em,), (ev,) = phi_zeta(st0.rho[at], st0.theta, msg, params.q, params.sigma0_sq)
+            assert mean[i] == pytest.approx(em, rel=1e-13)
+            assert var[i] == pytest.approx(ev, rel=1e-13)
 
 
 def test_r2p_zero_input_symmetry():
     n = 6
     params = PriorParams(q=0.2, sigma0_sq=1.0)
-    den = ChainDenoiser(n, 2, params)
-    mean, var = r2p_update(np.zeros(n), 0.5, *den.r2p, params)
+    den = ChainDenoiser(n, 2, params, em=True)
+    den(np.zeros(n), 0.5)
+    mean, var = den.r2p
     np.testing.assert_array_equal(mean, np.zeros(n))
     assert np.all(var > 0)
 
@@ -360,7 +376,8 @@ def test_r2p_gaussian_filtering_collapse():
     # with no spike mass the chain update is plain Gaussian fusion
     st0 = _random_state(4, 3)
     params_q0 = PriorParams(q=0.0, sigma0_sq=0.9)  # clamps to Q_MIN
-    mean, var = r2p_update(st0.rho, st0.theta, *st0.r2p, params_q0)
+    den, _, _ = _chain_call(st0, params_q0)
+    mean, var = den.r2p
     for i in range(1, 4):
         # no jump mass: fuse (rho, theta) with the spike (prev_mean, prev_var)
         va = st0.theta
@@ -372,14 +389,6 @@ def test_r2p_gaussian_filtering_collapse():
 
 
 # ---------------------------------------------------------------- denoise
-
-
-def _chain_call(st0, params):
-    """One EM chain-denoiser call on a random state at energy st0.theta."""
-    den = ChainDenoiser(st0.rho.size, 2, params, em=True)
-    den.r2p, den.l2p = st0.r2p, st0.l2p
-    mu, mep = den(st0.rho, st0.theta)
-    return den, mu, mep
 
 
 def test_denoise_zero_symmetry():
@@ -656,8 +665,9 @@ def test_solve_composes_sub_operations():
     for _ in range(4):
         rho = op.adjoint(r) + mu
         theta = max(_energy(r), THETA_FLOOR)
-        r2p_new = r2p_update(rho, theta, *r2p, want_params)
-        l2m, l2v = r2p_update(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], want_params)
+        # the messages as the solver once built them, the leftward ones on reversed views
+        r2p_new = _r2p_reference(rho, theta, *r2p, want_params)
+        l2m, l2v = _r2p_reference(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], want_params)
         r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])
         mu, sigma_sq = eta_gamma(rho, theta, r2p, l2p, want_params.q, want_params.sigma0_sq)
         mep = float(sigma_sq.sum()) / sigma_sq.size / theta
@@ -672,9 +682,10 @@ def test_solve_composes_sub_operations():
     denoiser = ChainDenoiser(op.n, op.m, params, em=True)
     amp_loop(op, y, denoiser, SolverConfig(max_iters=4, tol=0.0))
     np.testing.assert_array_equal(denoiser.sigma_sq, sigma_sq)
+    # the forward sweeps' message block holds the reversed-view messages' bytes
     for got, want in ((denoiser.r2p, r2p), (denoiser.l2p, l2p)):
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
     assert denoiser.theta == theta
     assert denoiser.params == want_params
 
