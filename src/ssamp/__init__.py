@@ -11,7 +11,7 @@ Library layout:
 * ``cli``        ``ssamp`` command line entry point
 """
 
-from .kernels import eta_gamma, log_gauss, phi_zeta
+from .kernels import eta_gamma, phi_zeta
 from .operators import (
     LinearOperator,
     column_sign_randomize,

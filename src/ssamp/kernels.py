@@ -19,18 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "VARIANCE_FLOOR",
-    "log_gauss",
-    "eta_gamma",
-    "phi_zeta",
-]
+__all__ = ["VARIANCE_FLOOR", "eta_gamma", "phi_zeta"]
 
 # Fusion inputs are clamped to this floor: exact zeros show up at
 # convergence and would otherwise divide out.
 VARIANCE_FLOOR = 1e-12
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _floor_variance(v, out: np.ndarray) -> np.ndarray:
@@ -38,15 +31,6 @@ def _floor_variance(v, out: np.ndarray) -> np.ndarray:
     if v.size and not v.min() >= 0.0:  # min propagates NaN
         raise ValueError("variance must be nonnegative and not NaN")
     return np.maximum(v, VARIANCE_FLOOR, out=out)
-
-
-def log_gauss(x, mean, variance) -> np.ndarray:
-    """Log density of N(x; mean, variance), over the inputs' broadcast
-    shape.  Variance must be positive."""
-    v = np.asarray(variance, dtype=float)
-    if not (v > 0.0).all():
-        raise ValueError("variance must be positive")
-    return -0.5 * (_LOG_2PI + np.log(v) + (x - mean) ** 2 / v)
 
 
 def _prior(rho: np.ndarray, theta: float, q: float, s0: float):

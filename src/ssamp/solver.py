@@ -13,8 +13,8 @@ The chain denoiser (``ChainDenoiser``) does per call, in order:
 2. rightward and leftward message updates along the difference chain
    (Jacobi: each reads the previous iteration's messages)
 3. coordinate denoising through the spike-and-slab mixture posterior
-4. optional expectation-maximization refresh of (q, sigma0_sq), used from
-   the next call on
+4. optional expectation-maximization refresh of (q, sigma0_sq) from the
+   closed-form jump posteriors, used from the next call on
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import eta_gamma, log_gauss, phi_zeta
+from .kernels import eta_gamma, phi_zeta
 from .operators import LinearOperator, check_number
 
 __all__ = [
@@ -114,26 +114,30 @@ class SolveReport:
 def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
     """Jump responsibilities and slab posterior moments of the pseudodata.
 
-    Each difference of the pseudodata is a jump observed through noise of
-    variance 2 theta.  Returns (pi, gamma_d, nu): the posterior jump
-    probability per difference, the posterior jump mean per difference,
-    and the shared posterior jump variance.
+    Each difference s of rho (two coordinates at least) is a jump seen
+    through noise of variance t = 2 theta, theta > 0.  With the slab's
+    shrinkage weight w = s0 / (t + s0), the log-odds against a jump is
+    log((1 - q) / q) + (log(t + s0) - log t) / 2 - w s^2 / (2 t), the
+    Bernoulli-Gaussian EM step of Vila & Schniter (IEEE TSP 2013).  Returns
+    (pi, gamma_d, nu): each difference's posterior jump probability and
+    jump mean w s, and the shared posterior jump variance w t.
     """
-    s = np.diff(np.asarray(rho, dtype=float))
+    theta = check_number("theta", theta, 0.0, open_low=True)
+    rho = np.asarray(rho, dtype=float)
+    if rho.size < 2:
+        raise ValueError(f"rho must hold at least two coordinates, not {rho.size}")
+    s = np.diff(rho)
     q, s0 = params.q, params.sigma0_sq
-    log_ratio = (
-        np.log1p(-q)
-        - np.log(q)
-        + log_gauss(0.0, s, 2.0 * theta)
-        - log_gauss(s, 0.0, 2.0 * theta + s0)
-    )
+    t = 2.0 * theta
+    w = s0 / (t + s0)
+    # log(t + s0) - log(t), not log1p(s0 / t), which overflows at theta 1e-300, s0 1e308
+    log_prior = np.log1p(-q) - np.log(q) + 0.5 * (np.log(t + s0) - np.log(t))
+    log_ratio = log_prior - s**2 / (2.0 * t) * w
     # numpy's logistic: exp overflows to inf on the far positive tail, giving
     # pi = 0.0 exactly, and underflows to 0 on the far negative tail, giving 1.0
     with np.errstate(over="ignore"):
         pi = 1.0 / (1.0 + np.exp(log_ratio))
-    gamma_d = s / (2.0 * theta / s0 + 1.0)
-    nu = 1.0 / (1.0 / s0 + 1.0 / (2.0 * theta))
-    return pi, gamma_d, nu
+    return pi, w * s, w * t
 
 
 def em_update(rho: np.ndarray, theta: float, params: PriorParams) -> PriorParams:

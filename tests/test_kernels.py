@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,7 @@ from oracles import (
     phi_zeta_reference,
     quad_posterior_moments,
 )
-from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, log_gauss, phi_zeta
+from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, phi_zeta
 from ssamp.solver import ChainDenoiser, PriorParams
 
 # frozen quadrature values for the named cases (tests/oracles.py, rel_tol 1e-11);
@@ -27,27 +26,6 @@ SINGLE_VAR = 0.17901790934862649
 DOUBLE_CASE = (0.7, 0.3, (0.5, 0.1), (-0.2, 0.4), 0.05, 1.0)
 DOUBLE_MEAN = 0.43283515877119499
 DOUBLE_VAR = 0.066160210812772832
-
-
-def test_log_gauss_standard_normal_peak():
-    assert log_gauss(0.0, 0.0, 1.0) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=0)
-
-
-def test_log_gauss_matches_reference_logpdf():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x, m = rng.normal(size=2) * 3
-        v = float(np.exp(rng.uniform(-3, 3)))
-        assert log_gauss(x, m, v) == pytest.approx(
-            scipy.stats.norm.logpdf(x, m, np.sqrt(v)), rel=1e-12
-        )
-
-
-def test_log_gauss_rejects_nonpositive_variance():
-    with pytest.raises(ValueError):
-        log_gauss(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        log_gauss(0.0, 0.0, -1.0)
 
 
 def _coord(kernel, rho, *args):

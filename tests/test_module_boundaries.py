@@ -51,7 +51,7 @@ def private_reads(source: str) -> list:
 
 def test_checker_catches_both_forms():
     source = (
-        "from .kernels import _prior, log_gauss\n"
+        "from .kernels import _prior, phi_zeta\n"
         "from ssamp.operators import _check_shape\n"
         "from . import solver\n"
         "import ssamp.tvamp as tv\n"
