@@ -119,7 +119,8 @@ class ExperimentConfig:
         store = partial(object.__setattr__, self)
         for name, low in (("n", 2), ("trials", 1), ("seed_base", 0), ("col_weight", 1)):
             finite = name != "seed_base"
-            store(name, int(check_number(name, getattr(self, name), low, integer=True, finite=finite)))
+            value = check_number(name, getattr(self, name), low, integer=True, finite=finite)
+            store(name, int(value))
         if self.band is not None:  # unset: the full band n
             store("band", int(check_number("band", self.band, 1, self.n, integer=True)))
         for name, positive in (
@@ -352,10 +353,6 @@ def pt_curve(cells: Sequence[PhaseCell]) -> list[tuple[float, float]]:
     return curve
 
 
-def _nmse_db(value: float) -> float:
-    return 10.0 * np.log10(max(value, NMSE_DB_FLOOR))
-
-
 def _paired_cases(config: ExperimentConfig):
     """("case i/N", (m_over_n, k_over_m, m, k)) per case, reading the two grids pairwise."""
     if len(config.grid_m_over_n) != len(config.grid_k_over_m):
@@ -392,11 +389,9 @@ def run_convergence(config: ExperimentConfig, progress=None) -> list[Table]:
                 raise DivergenceError(result.iters)
             trace = result.report.nmse_trace
             traces.append(np.pad(trace, (0, config.max_iters - trace.size), mode="edge"))
-        stacked_db = np.array([[_nmse_db(v) for v in tr] for tr in traces])
-        rows = tuple(
-            (it + 1, float(np.mean(stacked_db[:, it])), float(np.std(stacked_db[:, it])))
-            for it in range(config.max_iters)
-        )
+        # one row of trial dBs per iteration
+        db = 10.0 * np.log10(np.maximum(np.column_stack(traces), NMSE_DB_FLOOR))
+        rows = tuple((it, float(np.mean(v)), float(np.std(v))) for it, v in enumerate(db, 1))
         tables.append(Table(columns=("iter", "nmse_db_mean", "nmse_db_std"), rows=rows))
     return tables
 
@@ -445,21 +440,11 @@ def curve_table(curve: Sequence[tuple[float, float]]) -> Table:
     )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
-
-
 def emit(table: Table, fmt: str, path) -> None:
     """Write a table as CSV (17 significant digits, round-trip exact) or JSON."""
     if fmt == "csv":
-        lines = [",".join(table.columns)]
-        for row in table.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        header = ",".join(table.columns)
+        np.savetxt(path, table.rows, fmt="%.17g", delimiter=",", header=header, comments="")
     elif fmt == "json":
         payload = [dict(zip(table.columns, row)) for row in table.rows]
         with open(path, "w") as fh:

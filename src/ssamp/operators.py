@@ -157,29 +157,6 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return a
 
 
-class _QuasiToeplitz(_TransformRows):
-    """Rows 0..m-1 of the circulant whose first row holds b random band
-    coefficients (variance 1/m) and then zeros.
-
-    Storage keeps exactly those b numbers plus their zero-padded FFT.
-    """
-
-    default_beta = 0.5  # undamped AMP is unstable on these shifted rows
-
-    def __init__(self, m, n, band, seed):
-        _check_shape(m, n)
-        check_number("band", band, 1, n, integer=True)
-        rng = np.random.default_rng(seed)
-        self.coeffs = rng.normal(0.0, 1.0 / np.sqrt(m), size=band)
-        row = np.zeros(n)
-        row[:band] = self.coeffs
-        row_fft = np.fft.rfft(row)
-        # row j is the band row shifted by j: y[j] = sum_i row[(i - j) mod n] x[i]
-        forward = lambda x: np.fft.irfft(np.fft.rfft(x) * np.conj(row_fft), n)
-        transpose = lambda v: np.fft.irfft(np.fft.rfft(v) * row_fft, n)
-        super().__init__(n, np.arange(m), "quasi_toeplitz", forward, transpose, 1.0)
-
-
 class _ColumnSign(LinearOperator):
     def __init__(self, inner: LinearOperator, signs: np.ndarray):
         super().__init__(inner.m, inner.n, inner.kind)
@@ -223,7 +200,19 @@ def make_subsampled_wht(m: int, n: int, seed: int) -> LinearOperator:
 
 
 def make_quasi_toeplitz(m: int, n: int, band: int, seed: int) -> LinearOperator:
-    return _QuasiToeplitz(m, n, band, seed)
+    """Rows 0..m-1 of the circulant whose first row holds ``band`` random
+    coefficients (variance 1/m) and then zeros; only that row's FFT is kept."""
+    _check_shape(m, n)
+    check_number("band", band, 1, n, integer=True)
+    row = np.zeros(n)
+    row[:band] = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(m), size=band)
+    row_fft = np.fft.rfft(row)
+    # row j is the band row shifted by j: y[j] = sum_i row[(i - j) mod n] x[i]
+    forward = lambda x: np.fft.irfft(np.fft.rfft(x) * np.conj(row_fft), n)
+    transpose = lambda v: np.fft.irfft(np.fft.rfft(v) * row_fft, n)
+    op = _TransformRows(n, np.arange(m), "quasi_toeplitz", forward, transpose, 1.0)
+    op.default_beta = 0.5  # undamped AMP is unstable on these shifted rows
+    return op
 
 
 def make_sparse_bernoulli(m: int, n: int, col_weight: int, seed: int) -> LinearOperator:

@@ -19,11 +19,12 @@ The chain denoiser (``ChainDenoiser``) does per call, in order:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import eta_gamma, phi_zeta
+from .kernels import VARIANCE_FLOOR, eta_gamma, phi_zeta
 from .operators import LinearOperator, check_number
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "Q_MIN",
     "Q_MAX",
     "SIGMA0_SQ_MIN",
-    "THETA_FLOOR",
     "STALL_WINDOW",
     "STALL_BAND",
     "em_posteriors",
@@ -48,7 +48,6 @@ __all__ = [
 Q_MIN = 1e-8
 Q_MAX = 1.0 - 1e-8
 SIGMA0_SQ_MIN = 1e-12
-THETA_FLOOR = 1e-12
 STALL_WINDOW = 10  # a residual energy settled this long: AMP is at its fixed point
 STALL_BAND = 1e-2
 
@@ -115,14 +114,15 @@ def em_posteriors(rho: np.ndarray, theta: float, params: PriorParams):
     """Jump responsibilities and slab posterior moments of the pseudodata.
 
     Each difference s of rho (two coordinates at least) is a jump seen
-    through noise of variance t = 2 theta, theta > 0.  With the slab's
-    shrinkage weight w = s0 / (t + s0), the log-odds against a jump is
+    through noise of variance t = 2 theta, 0 < theta <= half the largest
+    float so that t is finite.  With the slab's shrinkage weight
+    w = s0 / (t + s0), the log-odds against a jump is
     log((1 - q) / q) + (log(t + s0) - log t) / 2 - w s^2 / (2 t), the
     Bernoulli-Gaussian EM step of Vila & Schniter (IEEE TSP 2013).  Returns
     (pi, gamma_d, nu): each difference's posterior jump probability and
     jump mean w s, and the shared posterior jump variance w t.
     """
-    theta = check_number("theta", theta, 0.0, open_low=True)
+    theta = check_number("theta", theta, 0.0, sys.float_info.max / 2, open_low=True)
     rho = np.asarray(rho, dtype=float)
     if rho.size < 2:
         raise ValueError(f"rho must hold at least two coordinates, not {rho.size}")
@@ -272,7 +272,7 @@ class ChainDenoiser:
     def __call__(self, rho: np.ndarray, energy: float):
         params = self.params
         theta = energy if self.em else params.delta + float(self.sigma_sq.sum()) / self.m
-        self.theta = theta = max(theta, THETA_FLOOR)
+        self.theta = theta = max(theta, VARIANCE_FLOOR)
         q, s0 = params.q, params.sigma0_sq
         # i's rightward message comes from neighbor i - 1, its leftward one from i + 1, and
         # an end lacking one stays (0, s0); one (4, n) block page-faults ~900 times at 16384

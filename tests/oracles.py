@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
+from ssamp.kernels import VARIANCE_FLOOR
 from ssamp.signals import nmse
-from ssamp.solver import THETA_FLOOR, DivergenceError, SolveReport, em_update
+from ssamp.solver import DivergenceError, SolveReport, em_update
 from ssamp.tvamp import tv_divergence, tv_prox
 
 # ---------------------------------------------------------------------------
@@ -544,7 +545,7 @@ def solve_reference(op, y, params, config, truth=None, target_nmse=None, em=Fals
                 theta = params.delta + float(np.sum(sigma_sq)) / op.m
             else:
                 theta = float(np.sum(r**2)) / op.m
-            theta = max(theta, THETA_FLOOR)
+            theta = max(theta, VARIANCE_FLOOR)
             r2p_new = _r2p_reference(rho, theta, *r2p, params)
             l2m, l2v = _r2p_reference(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], params)
             r2p, l2p = r2p_new, (l2m[::-1], l2v[::-1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ssamp.solver as solver_module
-from ssamp.kernels import eta_gamma, phi_zeta
+from ssamp.kernels import VARIANCE_FLOOR, eta_gamma, phi_zeta
 from ssamp.operators import (
     column_sign_randomize,
     make_iid_gaussian,
@@ -23,7 +23,6 @@ from ssamp.solver import (
     Q_MAX,
     Q_MIN,
     SIGMA0_SQ_MIN,
-    THETA_FLOOR,
     ChainDenoiser,
     DivergenceError,
     PriorParams,
@@ -310,7 +309,7 @@ def test_pseudodata_theta_modes():
 def test_pseudodata_theta_floor():
     params = PriorParams(q=0.1, sigma0_sq=1.0, delta=0.0)
     for em in (False, True):
-        assert _theta_after_call(np.zeros(4), 0.0, params, em) == THETA_FLOOR
+        assert _theta_after_call(np.zeros(4), 0.0, params, em) == VARIANCE_FLOOR
 
 
 # ---------------------------------------------------------------- chain messages
@@ -623,8 +622,9 @@ def test_em_rejects_bad_theta_and_short_rho():
     params = PriorParams(0.1, 1.0)
     rho = np.linspace(0.0, 1.0, 5)
     for step in (em_posteriors, em_update):
-        for theta in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="^theta must be finite and greater than 0.0"):
+        # 2 theta overflows above half the largest float
+        for theta in (0.0, -1.0, np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError, match="^theta must be greater than 0.0 and at most"):
                 step(rho, theta, params)
         for short in (np.zeros(1), np.zeros(0)):
             with pytest.raises(ValueError, match="^rho must hold at least two coordinates"):
@@ -696,7 +696,7 @@ def test_solve_composes_sub_operations():
     want_params = params
     for _ in range(4):
         rho = op.adjoint(r) + mu
-        theta = max(_energy(r), THETA_FLOOR)
+        theta = max(_energy(r), VARIANCE_FLOOR)
         # the messages as the solver once built them, the leftward ones on reversed views
         r2p_new = _r2p_reference(rho, theta, *r2p, want_params)
         l2m, l2v = _r2p_reference(rho[::-1], theta, l2p[0][::-1], l2p[1][::-1], want_params)
