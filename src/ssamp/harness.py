@@ -304,29 +304,39 @@ def run_single_trial(
     )
 
 
+def _run_cases(config: ExperimentConfig, cases, progress, **trial_kw):
+    """(m_over_n, k_over_m, trials) per case of ``cases``, in order.  ``trials``
+    runs each TrialResult of the case as it is read, after ``progress(text)``,
+    and is empty for an infeasible case (see cell_sizes)."""
+
+    def trials(case, m_over_n, k_over_m):
+        sizes = cell_sizes(config, m_over_n, k_over_m)
+        where = f"case {case}/{len(cases)} m/n={m_over_n:g} k/m={k_over_m:g}"
+        for t in range(config.trials if sizes else 0):
+            if progress is not None:
+                progress(f"{where} trial {t + 1}/{config.trials}")
+            yield run_single_trial(config, m_over_n, k_over_m, *sizes, t, **trial_kw)
+
+    for case, (m_over_n, k_over_m) in enumerate(cases, 1):
+        yield m_over_n, k_over_m, trials(case, m_over_n, k_over_m)
+
+
 def run_phase_grid(config: ExperimentConfig, progress=None) -> list[PhaseCell]:
-    """Sweep the full (m_over_n, k_over_m) grid, calling ``progress(text)`` per cell.
+    """Sweep the full (m_over_n, k_over_m) grid, calling ``progress(text)`` per trial.
 
     Cells whose derived sizes are infeasible (see cell_sizes) are emitted
     with zero trials instead of aborting the sweep.
     """
+    cases = [(a, b) for a in config.grid_m_over_n for b in config.grid_k_over_m]
     cells = []
-    total = len(config.grid_m_over_n) * len(config.grid_k_over_m)
-    for m_over_n in config.grid_m_over_n:
-        for k_over_m in config.grid_k_over_m:
-            if progress is not None:
-                progress(f"cell {len(cells) + 1}/{total} m/n={m_over_n:g} k/m={k_over_m:g}")
-            sizes = cell_sizes(config, m_over_n, k_over_m)
-            if sizes is None:
-                cells.append(PhaseCell(m_over_n, k_over_m, 0, 0, 0.0, 0.0))
-                continue
-            successes, iters = 0, []
-            for t in range(config.trials):
-                r = run_single_trial(config, m_over_n, k_over_m, *sizes, t)
-                successes += r.success
-                iters.append(r.iters)
-            rate, mean_iters = successes / config.trials, float(np.mean(iters))
-            cells.append(PhaseCell(m_over_n, k_over_m, config.trials, successes, rate, mean_iters))
+    for m_over_n, k_over_m, trials in _run_cases(config, cases, progress):
+        results = list(trials)
+        if not results:
+            cells.append(PhaseCell(m_over_n, k_over_m, 0, 0, 0.0, 0.0))
+            continue
+        successes = sum(r.success for r in results)
+        rate, mean_iters = successes / len(results), float(np.mean([r.iters for r in results]))
+        cells.append(PhaseCell(m_over_n, k_over_m, len(results), successes, rate, mean_iters))
     return cells
 
 
@@ -354,20 +364,17 @@ def pt_curve(cells: Sequence[PhaseCell]) -> list[tuple[float, float]]:
 
 
 def _paired_cases(config: ExperimentConfig):
-    """("case i/N", (m_over_n, k_over_m, m, k)) per case, reading the two grids pairwise."""
+    """(m_over_n, k_over_m) per case, reading the two grids pairwise; every
+    case must be feasible, so a run rejects its cases before any trial."""
     if len(config.grid_m_over_n) != len(config.grid_k_over_m):
-        raise ValueError(
-            "convergence/runtime runs read the grids pairwise; lengths must match"
-        )
-    cases = []
-    for m_over_n, k_over_m in zip(config.grid_m_over_n, config.grid_k_over_m):
-        sizes = cell_sizes(config, m_over_n, k_over_m)
-        if sizes is None:
+        raise ValueError("convergence/runtime runs read the grids pairwise; lengths must match")
+    cases = list(zip(config.grid_m_over_n, config.grid_k_over_m))
+    for m_over_n, k_over_m in cases:
+        if cell_sizes(config, m_over_n, k_over_m) is None:
             raise ValueError(
                 f"case (m/n={m_over_n}, k/m={k_over_m}) is infeasible at n={config.n}"
             )
-        cases.append((m_over_n, k_over_m, *sizes))
-    return [(f"case {i}/{len(cases)}", case) for i, case in enumerate(cases, 1)]
+    return cases
 
 
 def run_convergence(config: ExperimentConfig, progress=None) -> list[Table]:
@@ -375,16 +382,12 @@ def run_convergence(config: ExperimentConfig, progress=None) -> list[Table]:
     exactly max_iters sweeps.
 
     Trials that reach an exact fixed point early keep their last NMSE for
-    the remaining iterations.
+    the remaining iterations.  A diverged trial raises before the next runs.
     """
-    free_run = replace(config, tol=0.0)
     tables = []
-    for case, (m_over_n, k_over_m, m, k) in _paired_cases(config):
+    for _, _, trials in _run_cases(replace(config, tol=0.0), _paired_cases(config), progress):
         traces = []
-        for t in range(config.trials):
-            if progress is not None:
-                progress(f"{case} trial {t + 1}/{config.trials}")
-            result = run_single_trial(free_run, m_over_n, k_over_m, m, k, t)
+        for result in trials:
             if result.report is None:
                 raise DivergenceError(result.iters)
             trace = result.report.nmse_trace
@@ -400,17 +403,11 @@ def run_runtime(config: ExperimentConfig, progress=None) -> Table:
     """Wall-clock benchmark: solve to the success_nmse target per trial,
     one row per case."""
     rows = []
-    for case, (m_over_n, k_over_m, m, k) in _paired_cases(config):
-        iters = []
-        seconds = []
-        for t in range(config.trials):
-            if progress is not None:
-                progress(f"{case} trial {t + 1}/{config.trials}")
-            result = run_single_trial(
-                config, m_over_n, k_over_m, m, k, t, target_nmse=config.success_nmse
-            )
-            iters.append(result.iters)
-            seconds.append(result.seconds)
+    cases = _run_cases(config, _paired_cases(config), progress, target_nmse=config.success_nmse)
+    for m_over_n, k_over_m, trials in cases:
+        results = list(trials)
+        iters = [r.iters for r in results]
+        seconds = [r.seconds for r in results]
         mean_iters = float(np.mean(iters))
         mean_seconds = float(np.mean(seconds))
         per_iter = float(np.mean([s / i for s, i in zip(seconds, iters)]))  # every i >= 1

@@ -58,7 +58,7 @@ def check_number(
     ``open_low``, and finite unless ``finite`` is false; otherwise raise a
     ValueError naming ``name``.  bool is an int subclass, but True is no
     number here.  NaN fails every range, and an int too large for a float
-    is infinite."""
+    is infinite; a number is compared as that float, an integer exactly."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, not {value!r}")
@@ -66,9 +66,10 @@ def check_number(
         real = float(value)
     except OverflowError:
         real = math.inf if value > 0 else -math.inf
-    above = low < value if open_low else low <= value
-    if above and value <= high and (not finite or math.isfinite(real)):
-        return value if integer else real
+    number = value if integer else real
+    above = low < number if open_low else low <= number
+    if above and number <= high and (not finite or math.isfinite(real)):
+        return number
     rules = [f"{'greater than' if open_low else 'at least'} {low}"] if low > -math.inf else []
     if high < math.inf:
         rules.append(f"at most {high}")

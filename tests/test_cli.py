@@ -266,7 +266,7 @@ def test_pt_writes_infeasible_cells_as_zero_rows(tmp_path, capsys):
     assert rows[1:3] == ["0.10000000000000001,0.5,0,0,0,0", "0.10000000000000001,1,0,0,0,0"]
     assert [r.split(",")[2] for r in rows[3:]] == ["1", "1"]
     assert curve_out.read_text() == "m_over_n,k_over_m_at_half_success\n"
-    assert "pt: cell 1/4 m/n=0.1 k/m=0.5\n" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[0] == "pt: case 3/4 m/n=0.5 k/m=0.5 trial 1/1"
 
 
 def test_paired_case_progress_counts_from_one(tmp_path, capsys):
@@ -278,7 +278,9 @@ def test_paired_case_progress_counts_from_one(tmp_path, capsys):
         assert main([command, cfg, "--out", str(tmp_path / f"{command}.csv")]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines[:4] == [
-            f"{command}: case {c}/2 trial {t}/2" for c in (1, 2) for t in (1, 2)
+            f"{command}: case {c}/2 m/n={r} k/m=0.1 trial {t}/2"
+            for c, r in ((1, 0.5), (2, 0.4))
+            for t in (1, 2)
         ]
 
 

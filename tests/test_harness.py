@@ -534,20 +534,52 @@ def test_convergence_free_runs_do_not_stall(monkeypatch):
     assert [rep.iters_run for rep in reports] == [120] * cfg.trials
 
 
-def test_convergence_requires_paired_grids():
+def _count_trials(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_single_trial(*args, **kwargs)
+
+    monkeypatch.setattr(ssamp.harness, "run_single_trial", counting)
+    return calls
+
+
+def test_convergence_requires_paired_grids(monkeypatch):
+    calls, lines = _count_trials(monkeypatch), []
     cfg = ExperimentConfig(
         n=100, grid_m_over_n=(0.5, 0.6), grid_k_over_m=(0.1,), trials=1, max_iters=3
     )
-    with pytest.raises(ValueError, match="pairwise"):
-        run_convergence(cfg)
+    for run in (run_convergence, run_runtime):
+        with pytest.raises(ValueError, match="pairwise"):
+            run(cfg, lines.append)
+    assert calls == [] and lines == []
 
 
-def test_convergence_rejects_infeasible_case():
+def test_convergence_rejects_infeasible_case(monkeypatch):
+    # the feasible first case runs no trial either: every case is checked before any runs
+    calls, lines = _count_trials(monkeypatch), []
     cfg = ExperimentConfig(
-        n=4, grid_m_over_n=(0.1,), grid_k_over_m=(0.5,), trials=1, max_iters=3
+        n=4, grid_m_over_n=(0.5, 0.1), grid_k_over_m=(0.5, 0.5), trials=1, max_iters=3
     )
-    with pytest.raises(ValueError, match="infeasible"):
+    for run in (run_convergence, run_runtime):
+        with pytest.raises(ValueError, match=r"case \(m/n=0.1, k/m=0.5\) is infeasible"):
+            run(cfg, lines.append)
+    assert calls == [] and lines == []
+
+
+def test_convergence_stops_at_the_first_diverged_trial(monkeypatch):
+    # the TV-AMP instance of test_single_trial_swallows_divergence: trial 0 diverges,
+    # and trials 1 and 2 never run
+    calls = _count_trials(monkeypatch)
+    cfg = ExperimentConfig(
+        solver="tvamp", n=200, lam=0.05, tol=0.0, grid_m_over_n=(0.5,), grid_k_over_m=(0.1,),
+        trials=3,
+    )
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         run_convergence(cfg)
+    assert info.value.iteration == 1217
+    assert len(calls) == 1
 
 
 def test_convergence_db_values_are_finite():

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from oracles import dense_matrix
 from ssamp.operators import (
+    check_number,
     column_sign_randomize,
     make_iid_gaussian,
     make_quasi_toeplitz,
@@ -189,3 +190,11 @@ def test_shape_validation():
         make_iid_gaussian(8, 1, 0)
     with pytest.raises(ValueError):
         make_quasi_toeplitz(8, 16, 0, 0)
+
+
+def test_check_number_names_the_field_for_huge_ints_against_numpy_bounds():
+    # 10**400 reads as +inf, so a numpy-float bound rejects it by name and not by OverflowError
+    with pytest.raises(ValueError, match=r"^theta must be greater than 0.0 and at most"):
+        check_number("theta", 10**400, 0.0, np.finfo(float).max / 2, open_low=True)
+    with pytest.raises(ValueError, match=r"^x must be finite and at least 0.0"):
+        check_number("x", 10**400, np.float64(0.0))
