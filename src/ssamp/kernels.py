@@ -33,6 +33,16 @@ def _floor_variance(v, out: np.ndarray) -> np.ndarray:
     return np.maximum(v, VARIANCE_FLOOR, out=out)
 
 
+def _work_block(work, rows: int, shape: tuple) -> np.ndarray:
+    """``work``, checked to be a C-contiguous float block of ``rows`` arrays
+    of ``shape``; a new block when it is None."""
+    if work is None:
+        return np.empty((rows,) + shape)
+    if work.shape != (rows,) + shape or work.dtype != float or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous float block of shape {(rows,) + shape}")
+    return work
+
+
 def _prior(rho: np.ndarray, theta: float, q: float, s0: float):
     """Checked theta (floored), s0, and the log spike and slab weights;
     a rho that is no ndarray of ndim >= 1 is a TypeError, and so (through
@@ -54,21 +64,22 @@ def _prior(rho: np.ndarray, theta: float, q: float, s0: float):
         return max(theta, VARIANCE_FLOOR), s0, np.log(1.0 - q), np.log1p(q - 1.0)
 
 
-def phi_zeta(rho: np.ndarray, theta: float, msg, q: float, s0: float):
+def phi_zeta(rho: np.ndarray, theta: float, msg, q: float, s0: float, work=None):
     """Posterior mean and variance given a single directional (mean, var) message.
 
     The spike and slab components have means m0, m1 (m1 - m0 = dm, formed
     as a product) and weights p0 = 1 - p1, p1 (a logistic of the log-odds).
-    Intermediates live in one work block the call allocates and are updated
-    in place, with every operation's operands grouped as in the plain
+    Intermediates live in ``work``, an (8,) + rho.shape block that shares
+    no memory with an input (allocated when None), and are updated in
+    place, with every operation's operands grouped as in the plain
     expressions (kept in the tests as phi_zeta_closed_form), so the outputs
-    round the same.  No input is written.
+    round the same.  No input is written, and no output is part of ``work``.
     """
     theta, s0, log_spike, log_slab = _prior(rho, theta, q, s0)
     mean = msg[0]
     # var and m0 become the outputs; the rest lives in one work block
     var, m0 = _floor_variance(msg[1], np.empty(rho.shape)), np.empty(rho.shape)
-    var_slab, d, inv_a0, inv_a1, g, dm, m1, odds_slab = np.empty((8,) + rho.shape)
+    var_slab, d, inv_a0, inv_a1, g, dm, m1, odds_slab = _work_block(work, 8, rho.shape)
     np.add(var, s0, out=var_slab)
     np.subtract(rho, mean, out=d)
     np.add(var, theta, out=inv_a0)
@@ -118,7 +129,7 @@ def phi_zeta(rho: np.ndarray, theta: float, msg, q: float, s0: float):
     return m0, var
 
 
-def eta_gamma(rho: np.ndarray, theta: float, r2p, l2p, q: float, s0: float):
+def eta_gamma(rho: np.ndarray, theta: float, r2p, l2p, q: float, s0: float, work=None):
     """Posterior mean and variance of a coordinate given both (mean, var) messages.
 
     Each of the four (r2p, l2p) spike/slab pairs fuses the channel with its
@@ -127,15 +138,15 @@ def eta_gamma(rho: np.ndarray, theta: float, r2p, l2p, q: float, s0: float):
     four share, to its log weight.  The spike and slab rows are stacked:
     the r2p fusion runs on (2, n) arrays, the l2p fusion on (2, 2, n)
     ones, ordered (r2p component, l2p component).  As in ``phi_zeta``,
-    intermediates live in one work block updated in place, rounded as the
-    plain expressions (eta_gamma_closed_form in the tests), and no input is
-    written; r_mean theta, l_var + s0 and l_mean v1, which those
-    expressions repeat, are formed once.
+    intermediates live in ``work``, here a (28,) + rho.shape block, updated
+    in place and rounded as the plain expressions (eta_gamma_closed_form in
+    the tests), and no input is written; r_mean theta, l_var + s0 and
+    l_mean v1, which those expressions repeat, are formed once.
     """
     theta, s0, log_spike, log_slab = _prior(rho, theta, q, s0)
     (r_mean, r_var), (l_mean, l_var) = r2p, l2p
     size = rho.shape
-    work = np.empty((28,) + size)
+    work = _work_block(work, 28, size)
     vr, vl, inv_a, m1, lw1 = (work[i : i + 2] for i in range(0, 10, 2))
     half_d2, r_theta = work[10], work[11]
     inv_b, log_weights, means, variances = (

@@ -15,17 +15,19 @@ band of b coefficients gives them mean b/n, and b <= n - m leaves the last
 n - m - b + 1 columns zero (to FFT rounding), unmeasured.  Construction is
 deterministic in (shape, seed); apply/adjoint are exact adjoints of each
 other.  ``column_sign_randomize`` wraps any operator with a random +-1
-diagonal on the input side.  scipy is imported by the two ensembles that
-use it, when one is built, so the others run on numpy alone.
+diagonal on the input side.  Every ensemble runs on numpy alone: the DCT
+is numpy's real FFT behind Makhoul's reordering (IEEE TASSP 1980), and the
+sparse matrix is a block of row indices.
 
 ``check_number`` is the package's one check of a public scalar argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from functools import partial
+import reprlib
 
 import numpy as np
 
@@ -61,7 +63,7 @@ def check_number(
     is infinite; a number is compared as that float, an integer exactly."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be {what}, not {value!r}")
+        raise ValueError(f"{name} must be {what}, not {_ECHO.repr(value)}")
     try:
         real = float(value)
     except OverflowError:
@@ -75,7 +77,13 @@ def check_number(
         rules.append(f"at most {high}")
     if finite and (not integer or math.isinf(real)) and len(rules) < 2:
         rules.insert(0, "finite")
-    raise ValueError(f"{name} must be {' and '.join(rules)}, not {value!r}")
+    raise ValueError(f"{name} must be {' and '.join(rules)}, not {_ECHO.repr(value)}")
+
+
+# a rejected value's repr, cut to 40 characters for an int (10**400 has 401 digits) and
+# 60 for other objects, which keeps a numpy scalar whole
+_ECHO = reprlib.Repr()
+_ECHO.maxother = 60
 
 
 def _check_shape(m: int, n: int):
@@ -112,7 +120,7 @@ class LinearOperator:
 
 
 class _StoredMatrix(LinearOperator):
-    """A dense ndarray or a scipy sparse matrix, kept as ``matrix``."""
+    """A dense ndarray, kept as ``matrix``."""
 
     def __init__(self, matrix, kind):
         super().__init__(matrix.shape[0], matrix.shape[1], kind)
@@ -142,6 +150,78 @@ class _TransformRows(LinearOperator):
         full = np.zeros(self.n)
         full[self.rows] = r
         return self.scale * self._transpose(full)
+
+
+@functools.lru_cache(maxsize=8)
+def _dct_twiddles(n: int) -> np.ndarray:
+    """Row k's twiddle in Makhoul's DCT-II: exp(-i pi k / 2n) times the
+    orthonormal row norm, sqrt(1/n) at k = 0 and sqrt(2/n) after; read-only."""
+    c = np.exp(-1j * np.pi / (2 * n) * np.arange(n)) * np.sqrt(2.0 / n)
+    c[0] = np.sqrt(1.0 / n)
+    c.flags.writeable = False
+    return c
+
+
+class _DCTRows(LinearOperator):
+    """``scale`` times rows ``rows`` (sorted) of the orthonormal n-point DCT-II,
+    by Makhoul's reordering (IEEE TASSP 1980): v holds x's even entries, then
+    its odd ones reversed, and row k is Re(c_k V_k) for V = rfft(v); a row
+    k > n/2 reads bin n - k with conj(c_k).  The gather and ``scale`` are
+    folded into one twiddle per row.  The adjoint runs the same steps in
+    reverse: the rows' conjugate twiddles fill a half spectrum, weighted for
+    an unscaled irfft, which sums bins 0 and n/2 once and the others twice."""
+
+    def __init__(self, n, rows, scale):
+        super().__init__(len(rows), n, "subsampled_dct")
+        self.rows = rows
+        c = _dct_twiddles(n)[rows]
+        low = rows <= n // 2
+        self._bins = np.where(low, rows, n - rows)
+        self._twiddles = scale * np.where(low, c, np.conj(c))
+        once = (self._bins == 0) | (2 * self._bins == n)
+        self._adjoint_twiddles = np.where(once, 1.0, 0.5) * np.conj(self._twiddles)
+        self._low = int(np.count_nonzero(low))  # the rows are sorted: the low ones come first
+
+    def _apply(self, x):
+        spectrum = np.fft.rfft(np.concatenate((x[0::2], x[1::2][::-1])))[self._bins]
+        return (spectrum * self._twiddles).real
+
+    def _adjoint(self, r):
+        weighted = self._adjoint_twiddles * r
+        low = self._low
+        spectrum = np.zeros(self.n // 2 + 1, dtype=complex)
+        # rows k and n - k share a bin; the low rows' bins, and the high rows', are distinct
+        spectrum[self._bins[:low]] = weighted[:low]
+        spectrum[self._bins[low:]] += weighted[low:]
+        v = np.fft.irfft(spectrum, self.n, norm="forward")
+        x = np.empty(self.n)
+        even = (self.n + 1) // 2
+        x[0::2], x[1::2] = v[:even], v[even:][::-1]
+        return x
+
+
+class _SparseColumns(LinearOperator):
+    """An m x n matrix with the same number w of entries in every column: the
+    (w, n) blocks ``rows`` (sorted down each column) and ``data``, and both
+    flattened column by column.  Products are summed in column order, as a
+    compressed-sparse-column matvec does: apply accumulates into each row
+    from 0.0 through bincount, and the adjoint sums each column's w products
+    from 0.0 in row order."""
+
+    def __init__(self, m, rows, data):
+        super().__init__(m, rows.shape[1], "sparse_bernoulli")
+        self.rows, self.data = rows, data
+        self._column_rows, self._column_data = rows.T.ravel(), data.T.ravel()
+
+    def _apply(self, x):
+        weights = self._column_data * np.repeat(x, len(self.rows))
+        return np.bincount(self._column_rows, weights=weights, minlength=self.m)
+
+    def _adjoint(self, r):
+        out = np.zeros(self.n)
+        for products in self.data * r[self.rows]:
+            out += products
+        return out
 
 
 def _fwht(x: np.ndarray) -> np.ndarray:
@@ -184,11 +264,7 @@ def make_iid_gaussian(m: int, n: int, seed: int) -> LinearOperator:
 
 
 def make_subsampled_dct(m: int, n: int, seed: int) -> LinearOperator:
-    from scipy.fft import dct, idct
-
-    rows = _random_rows(m, n, seed)
-    forward, transpose = partial(dct, type=2, norm="ortho"), partial(idct, type=2, norm="ortho")
-    return _TransformRows(n, rows, "subsampled_dct", forward, transpose, np.sqrt(n / m))
+    return _DCTRows(n, _random_rows(m, n, seed), np.sqrt(n / m))
 
 
 def make_subsampled_wht(m: int, n: int, seed: int) -> LinearOperator:
@@ -217,8 +293,6 @@ def make_quasi_toeplitz(m: int, n: int, band: int, seed: int) -> LinearOperator:
 
 
 def make_sparse_bernoulli(m: int, n: int, col_weight: int, seed: int) -> LinearOperator:
-    import scipy.sparse
-
     _check_shape(m, n)
     check_number("col_weight", col_weight, 1, m, integer=True)
     rng = np.random.default_rng(seed)
@@ -227,9 +301,10 @@ def make_sparse_bernoulli(m: int, n: int, col_weight: int, seed: int) -> LinearO
         rows[:, i] = rng.choice(m, size=col_weight, replace=False)
     signs = rng.integers(0, 2, size=(col_weight, n)) * 2 - 1
     data = signs / np.sqrt(col_weight)
-    cols = np.broadcast_to(np.arange(n), (col_weight, n))
-    matrix = scipy.sparse.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(m, n))
-    return _StoredMatrix(matrix, "sparse_bernoulli")
+    order = np.argsort(rows, axis=0)
+    return _SparseColumns(
+        m, np.take_along_axis(rows, order, axis=0), np.take_along_axis(data, order, axis=0)
+    )
 
 
 def column_sign_randomize(op: LinearOperator, seed: int) -> LinearOperator:

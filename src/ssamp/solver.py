@@ -268,6 +268,10 @@ class ChainDenoiser:
         self.r2p = (np.zeros(n), np.full(n, s0))
         self.l2p = (np.zeros(n), np.full(n, s0))
         self.theta = None
+        # the kernels' work blocks, reused by every call: eta_gamma's 28 rows of n, and
+        # phi_zeta's 8 rows of n - 1 at its front, so a call allocates its outputs alone
+        self._eta_work = np.empty((28, n))
+        self._phi_work = self._eta_work.reshape(-1)[: 8 * (n - 1)].reshape(8, n - 1)
 
     def __call__(self, rho: np.ndarray, energy: float):
         params = self.params
@@ -278,10 +282,11 @@ class ChainDenoiser:
         # an end lacking one stays (0, s0); one (4, n) block page-faults ~900 times at 16384
         r2p, l2p = np.empty((2, len(rho))), np.empty((2, len(rho)))
         r2p[:, 0] = l2p[:, -1] = 0.0, s0
-        r2p[0, 1:], r2p[1, 1:] = phi_zeta(rho[:-1], theta, [a[:-1] for a in self.r2p], q, s0)
-        l2p[0, :-1], l2p[1, :-1] = phi_zeta(rho[1:], theta, [a[1:] for a in self.l2p], q, s0)
+        work = self._phi_work
+        r2p[0, 1:], r2p[1, 1:] = phi_zeta(rho[:-1], theta, [a[:-1] for a in self.r2p], q, s0, work)
+        l2p[0, :-1], l2p[1, :-1] = phi_zeta(rho[1:], theta, [a[1:] for a in self.l2p], q, s0, work)
         self.r2p, self.l2p = tuple(r2p), tuple(l2p)
-        mu, self.sigma_sq = eta_gamma(rho, theta, self.r2p, self.l2p, q, s0)
+        mu, self.sigma_sq = eta_gamma(rho, theta, self.r2p, self.l2p, q, s0, self._eta_work)
         mean_eta_prime = float(self.sigma_sq.sum()) / self.sigma_sq.size / theta
         if self.em:
             self.params = em_update(rho, theta, params)

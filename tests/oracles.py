@@ -4,7 +4,8 @@ Nothing here calls back into the package's fusion or prox code paths:
 posterior moments come from direct quadrature of the unnormalized density,
 derivatives from central differences, EM quantities from extended-precision
 arithmetic, and the TV prox from an iterative dual solver.  Dense matrices
-are read off an operator's ``apply`` one column at a time.  The exceptions
+are read off an operator's ``apply`` one column at a time, and the DCT-II is
+a dense matrix of cosines in long double.  The exceptions
 are frozen copies kept to check rewrites: byte for byte,
 ``tv_prox_sweep_reference``, the taut-string sweep indexing numpy arrays,
 ``phi_zeta_closed_form``/``eta_gamma_closed_form``, the chain kernels
@@ -39,6 +40,18 @@ def dense_matrix(op):
         e[i] = 1.0
         out[:, i] = op.apply(e)
         e[i] = 0.0
+    return out
+
+
+def dct_ii_matrix(n):
+    """The orthonormal n-point DCT-II as a dense long-double matrix: row k is
+    a_k cos(pi k (2j + 1) / 2n), a_0 = sqrt(1/n) and a_k = sqrt(2/n) after.
+    Each angle's multiple of pi / 2n is reduced modulo 4n in integers, so
+    no cosine argument passes 2 pi."""
+    k, j = np.arange(n)[:, None], np.arange(n)
+    turns = ((k * (2 * j + 1)) % (4 * n)).astype(np.longdouble)
+    out = np.cos(np.pi / np.longdouble(2 * n) * turns) * np.sqrt(np.longdouble(2) / n)
+    out[0] = np.sqrt(np.longdouble(1) / n)
     return out
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -414,6 +415,59 @@ def test_kernels_match_closed_form_byte_for_byte():
         r2p, l2p = (tuple(np.array([v]) for v in msg) for msg in (r2p, l2p))
         args = (np.array([rho]), 0.37, r2p, l2p, 0.08, 1.3)
         assert _outcome(eta_gamma, *args) == _outcome(eta_gamma_closed_form, *args)
+
+
+def test_kernels_in_a_reused_work_block_match_closed_form():
+    """A caller's work block, NaN-filled and then reused dirty across 500
+    draws, gives the closed form's bytes, and no output shares its memory."""
+    rng = np.random.default_rng(2020)
+    blocks = {}
+    for i in range(500):
+        rho, theta, r2p, l2p, q, s0 = _kernel_draw(rng, "array")
+        for kernel, frozen, rows, args in (
+            (phi_zeta, phi_zeta_closed_form, 8, (rho, theta, r2p, q, s0)),
+            (eta_gamma, eta_gamma_closed_form, 28, (rho, theta, r2p, l2p, q, s0)),
+        ):
+            work = blocks.setdefault((rows, rho.size), np.full((rows, rho.size), np.nan))
+            want = _outcome(frozen, *args)
+            assert _outcome(kernel, *args, work) == want, (kernel.__name__, i)
+            if not isinstance(want[0], type):  # not a raised error's type
+                assert not any(np.shares_memory(a, work) for a in kernel(*args, work))
+
+
+def test_kernels_reject_a_work_block_they_cannot_use():
+    rho = np.linspace(-1.0, 1.0, 6)
+    msg = (np.zeros(6), np.ones(6))
+    for kernel, rows, args in ((phi_zeta, 8, (msg,)), (eta_gamma, 28, (msg, msg))):
+        for bad in (
+            np.empty((rows, 5)),
+            np.empty((rows + 1, 6)),
+            np.empty((rows, 6), dtype=np.float32),
+            np.empty((6, rows)).T,
+        ):
+            with pytest.raises(ValueError, match="work must be a C-contiguous float block"):
+                kernel(rho, 0.5, *args, 0.1, 1.0, bad)
+
+
+def test_warm_chain_denoiser_call_allocates_no_work_block():
+    """At n = 16384 a warmed call's traced peak stays within the bytes of the
+    arrays it returns or keeps (mu, sigma_sq, both message blocks) plus 64 KiB
+    of Python objects: half an n-vector, where a kernel work block is 8 or 28."""
+    n = 16384
+    rng = np.random.default_rng(3)
+    denoiser = ChainDenoiser(n, n // 2, PriorParams(q=0.05, sigma0_sq=1.0, delta=1e-10))
+    rho = np.cumsum(rng.normal(size=n) * (rng.uniform(size=n) < 0.05)) + rng.normal(size=n)
+    denoiser(rho, 1.0)
+    tracemalloc.start()
+    try:
+        mu, _ = denoiser(rho, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = {id(a.base): a.base.nbytes for a in (*denoiser.r2p, *denoiser.l2p)}
+    kept = mu.nbytes + denoiser.sigma_sq.nbytes + sum(blocks.values())
+    assert kept == 6 * n * 8
+    assert peak <= kept + 64 * 1024
 
 
 def test_vector_call_equals_per_index_slices():
