@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerate the recorded CLI outputs: pt (with its curve), convergence and
-# solve for each solver, the oracle solve's estimate as CSV, a column-signed
-# pt on quasi_toeplitz, and a column-signed WHT solve.
+# solve for each solver, the oracle solve's estimate as CSV, a pt on
+# quasi_toeplitz, and a WHT solve (both transforms behind their column signs).
 #
 #   scripts/cli_outputs.sh DIR            write the 18 files into DIR
 #   scripts/cli_outputs.sh --check DIR    also compare them with cli_outputs.sha256,
@@ -42,10 +42,6 @@ EOF
 cat > cfg_conv.json <<'EOF'
 {"n": 300, "grid_m_over_n": [0.3, 0.5], "grid_k_over_m": [0.1, 0.2], "trials": 2, "max_iters": 40, "delta": 1e-10}
 EOF
-cat > cfg_pt_signed.json <<'EOF'
-{"n": 200, "grid_m_over_n": [0.3, 0.5], "grid_k_over_m": [0.1, 0.3, 0.6], "trials": 3, "max_iters": 300, "sign_randomize": true}
-EOF
-echo '{"sign_randomize": true}' > cfg_signed.json
 
 for s in ssamp_oracle ssamp_em tvamp; do
     ssamp pt cfg_pt.json --solver "$s" --out "pt_$s.csv" --curve-out "curve_$s.csv"
@@ -53,8 +49,8 @@ for s in ssamp_oracle ssamp_em tvamp; do
     ssamp solve cfg_conv.json --solver "$s" --out "solve_$s.json"
 done
 ssamp solve cfg_conv.json --out solve_ssamp_oracle.csv
-ssamp pt cfg_pt_signed.json --matrix quasi_toeplitz --out pt_quasi_toeplitz.csv
-ssamp solve cfg_signed.json --n 256 --matrix subsampled_wht --out solve_subsampled_wht.json
+ssamp pt cfg_pt.json --matrix quasi_toeplitz --out pt_quasi_toeplitz.csv
+ssamp solve --n 256 --matrix subsampled_wht --out solve_subsampled_wht.json
 
 if [ "$check" -eq 1 ]; then
     unlisted=0

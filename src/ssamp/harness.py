@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import InitVar, astuple, dataclass, field, fields, replace
 from functools import partial
 from typing import Sequence
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from .operators import (
     KINDS,
+    SIGNED_KINDS,
     LinearOperator,
     check_number,
     column_sign_randomize,
@@ -81,15 +82,15 @@ class ExperimentConfig:
     and runtime runs read the two lists pairwise as individual cases.
     ``q`` overrides the oracle prior (default: realized k / (n-1)), and
     seeds EM when the EM solver is chosen.  ``beta`` unset damps by the
-    operator's default_beta, for every solver.  ``subsampled_dct``,
-    ``subsampled_wht`` and ``quasi_toeplitz`` need ``sign_randomize``;
-    ``subsampled_wht`` needs n a power of two, and ``sparse_bernoulli`` a
-    ``col_weight`` no larger than the m of any grid cell that is run.
-    ``band`` unset gives ``quasi_toeplitz`` rows the full band n; a set
-    ``band`` must exceed n - m at every grid cell that is run, or the
-    rows leave n - m - band + 1 columns unmeasured.
-    Construction rejects settings no run can use, and builds
-    ``solver_config``, the ``SolverConfig`` each trial hands its solver.
+    operator's default_beta, for every solver.  ``SIGNED_KINDS`` always run
+    behind column signs, the others never; a retired ``sign_randomize`` key
+    must agree.  ``subsampled_wht`` needs n a power of two, and
+    ``sparse_bernoulli`` a ``col_weight`` no larger than the m of any grid
+    cell that is run.  ``band`` unset gives ``quasi_toeplitz`` rows the full
+    band n; a set ``band`` must exceed n - m at every grid cell that is run,
+    or the rows leave n - m - band + 1 columns unmeasured.  Construction
+    rejects settings no run can use, and builds ``solver_config``, the
+    ``SolverConfig`` each trial hands its solver.
     """
 
     solver: str = "ssamp_oracle"
@@ -110,9 +111,9 @@ class ExperimentConfig:
     tol: float = 1e-14
     band: int | None = None
     col_weight: int = 8
-    sign_randomize: bool = False
+    sign_randomize: InitVar[bool | None] = None  # retired: true or false as the matrix says
 
-    def __post_init__(self):
+    def __post_init__(self, sign_randomize):
         # A JSON 64.0 or 2e2 is a float, not an integer, and true is no number.  SeedSequence
         # takes a seed_base of any size, but a negative one fails only at the first trial.
         # Each checked number is stored as the plain int or float it means, for JSON.
@@ -129,8 +130,6 @@ class ExperimentConfig:
             store(name, check_number(name, getattr(self, name), 0.0, open_low=positive))
         if self.q is not None:  # unset: the realized k / (n-1)
             store("q", check_number("q", self.q, 0.0, 1.0))
-        if not isinstance(self.sign_randomize, bool):
-            raise ValueError(f"sign_randomize must be true or false, not {self.sign_randomize!r}")
         for name in ("grid_m_over_n", "grid_k_over_m"):
             grid = getattr(self, name)
             try:
@@ -144,12 +143,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.matrix not in KINDS:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
-        unsigned_fails = ("subsampled_dct", "subsampled_wht", "quasi_toeplitz")
-        if self.matrix in unsigned_fails and not self.sign_randomize:
-            raise ValueError(
-                f"{self.matrix} needs sign_randomize: without column signs AMP "
-                "does not recover even easy points on it"
-            )
+        signed = self.matrix in SIGNED_KINDS
+        if sign_randomize is not None and sign_randomize is not signed:
+            want = f"{str(signed).lower()} or absent on {self.matrix}"
+            raise ValueError(f"sign_randomize must be {want}, not {sign_randomize!r}")
         if self.signal_model not in MODELS:
             raise ValueError(f"unknown signal model {self.signal_model!r}")
         if self.matrix == "subsampled_wht" and self.n & (self.n - 1):
@@ -172,8 +169,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)  # sign_randomize included
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -231,7 +227,7 @@ def build_operator(config: ExperimentConfig, m: int, seed: int, sign_seed: int) 
         op = make_quasi_toeplitz(m, n, n if config.band is None else config.band, seed)
     else:
         op = make_sparse_bernoulli(m, n, config.col_weight, seed)
-    if config.sign_randomize:
+    if config.matrix in SIGNED_KINDS:
         op = column_sign_randomize(op, sign_seed)
     return op
 

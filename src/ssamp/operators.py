@@ -15,9 +15,10 @@ band of b coefficients gives them mean b/n, and b <= n - m leaves the last
 n - m - b + 1 columns zero (to FFT rounding), unmeasured.  Construction is
 deterministic in (shape, seed); apply/adjoint are exact adjoints of each
 other.  ``column_sign_randomize`` wraps any operator with a random +-1
-diagonal on the input side.  Every ensemble runs on numpy alone: the DCT
-is numpy's real FFT behind Makhoul's reordering (IEEE TASSP 1980), and the
-sparse matrix is a block of row indices.
+diagonal on the input side; an experiment signs the ``SIGNED_KINDS`` always
+and no other kind (structurally random matrices: Do et al., IEEE TSP 2012).
+Every ensemble runs on numpy alone: the DCT is numpy's real FFT behind
+Makhoul's reordering (IEEE TASSP 1980), the sparse matrix a block of row indices.
 
 ``check_number`` is the package's one check of a public scalar argument.
 """
@@ -34,6 +35,7 @@ import numpy as np
 __all__ = [
     "LinearOperator",
     "KINDS",
+    "SIGNED_KINDS",
     "make_iid_gaussian",
     "make_subsampled_dct",
     "make_subsampled_wht",
@@ -50,6 +52,7 @@ KINDS = (
     "quasi_toeplitz",
     "sparse_bernoulli",
 )
+SIGNED_KINDS = ("subsampled_dct", "subsampled_wht", "quasi_toeplitz")
 
 
 def check_number(

@@ -61,6 +61,17 @@ def test_flag_overrides_config_file(tmp_path):
     assert payload["m"] == 32
 
 
+@pytest.mark.parametrize("kind", ["subsampled_dct", "subsampled_wht", "quasi_toeplitz"])
+def test_solve_runs_a_transform_from_flags_alone(tmp_path, kind):
+    # a transform carries its column signs: it used to need a config file holding
+    # {"sign_randomize": true}, and that file still writes the same bytes
+    flags, keyed = tmp_path / "flags.json", tmp_path / "keyed.json"
+    assert main(["solve", "--n", "64", "--matrix", kind, "--out", str(flags)]) == 0
+    cfg = _write_config(tmp_path, sign_randomize=True)
+    assert main(["solve", cfg, "--n", "64", "--matrix", kind, "--out", str(keyed)]) == 0
+    assert flags.read_bytes() == keyed.read_bytes()
+
+
 def test_solver_flag_selects_em_solver(tmp_path):
     out = tmp_path / "r.json"
     cfg = _write_config(

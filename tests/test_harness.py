@@ -26,7 +26,14 @@ from ssamp.harness import (
     run_runtime,
     run_single_trial,
 )
-from ssamp.operators import make_quasi_toeplitz
+from ssamp.operators import (
+    KINDS,
+    SIGNED_KINDS,
+    column_sign_randomize,
+    make_quasi_toeplitz,
+    make_subsampled_dct,
+    make_subsampled_wht,
+)
 from ssamp.signals import nmse
 from ssamp.solver import DivergenceError, PriorParams, SolverConfig, default_em_params, solve
 from ssamp.tvamp import tvamp_solve
@@ -84,8 +91,9 @@ def test_config_validation():
                 continue  # unset
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 ExperimentConfig(**{name: value})
-    for value in ("false", 1, None):
-        with pytest.raises(ValueError, match="sign_randomize must be true or false"):
+    # the retired sign_randomize key is absent or the bool the matrix kind implies
+    for value in ("false", 1, 0, np.False_):
+        with pytest.raises(ValueError, match="sign_randomize must be false or absent"):
             ExperimentConfig(sign_randomize=value)
     for name in ("grid_m_over_n", "grid_k_over_m"):
         for value in ((True,), 0.5, "0.5", (0.5, "0.1")):
@@ -183,11 +191,19 @@ def test_config_rejects_non_integer_counts():
 
 
 def test_config_rejects_unsigned_fast_transforms():
-    # without column signs AMP fails every trial on these; say so up front
-    for kind in ("subsampled_dct", "subsampled_wht", "quasi_toeplitz"):
-        with pytest.raises(ValueError, match="needs sign_randomize"):
-            ExperimentConfig(matrix=kind, n=64)
-        assert ExperimentConfig(matrix=kind, n=64, sign_randomize=True).sign_randomize
+    # the transforms always run behind column signs (without them AMP fails every
+    # trial) and the stored ensembles never, so the retired sign_randomize key may
+    # only agree: false on a transform, or true on a stored ensemble, whose bytes
+    # it used to change, is an error, and so is any value that is not a bool
+    assert SIGNED_KINDS == ("subsampled_dct", "subsampled_wht", "quasi_toeplitz")
+    for kind in KINDS:
+        signed = kind in SIGNED_KINDS
+        fields = dict(matrix=kind, n=64, col_weight=4)
+        assert ExperimentConfig(**fields, sign_randomize=signed) == ExperimentConfig(**fields)
+        for value in (not signed, int(signed), str(signed).lower(), np.bool_(signed)):
+            want = f"sign_randomize must be {str(signed).lower()} or absent on {kind}"
+            with pytest.raises(ValueError, match=want):
+                ExperimentConfig(**fields, sign_randomize=value)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -231,24 +247,25 @@ def test_config_stores_plain_numbers():
 
 
 def test_build_operator_dispatch():
-    kinds = {
-        "iid_gaussian": {},
-        "subsampled_dct": {"sign_randomize": True},
-        "subsampled_wht": {"sign_randomize": True},
-        "quasi_toeplitz": {"sign_randomize": True},
-        "sparse_bernoulli": {"col_weight": 4},
+    # a transform comes wrapped in column signs drawn from the sign seed, the bytes of
+    # column_sign_randomize on its maker; a stored ensemble comes bare
+    n = 64
+    makers = {
+        "subsampled_dct": lambda: make_subsampled_dct(32, n, 7),
+        "subsampled_wht": lambda: make_subsampled_wht(32, n, 7),
+        "quasi_toeplitz": lambda: make_quasi_toeplitz(32, n, n, 7),
     }
-    for kind, extra in kinds.items():
-        n = 64
-        cfg = ExperimentConfig(matrix=kind, n=n, **extra)
-        op = build_operator(cfg, 32, 7, 8)
+    rng = np.random.default_rng(0)
+    x, r = rng.standard_normal(n), rng.standard_normal(32)
+    for kind in KINDS:
+        op = build_operator(ExperimentConfig(matrix=kind, n=n, col_weight=4), 32, 7, 8)
         assert op.kind == kind
         assert (op.m, op.n) == (32, n)
-        # signs wrap the operator; without them build_operator returns it bare
-        assert hasattr(op, "signs") == cfg.sign_randomize
-    cfg = ExperimentConfig(matrix="iid_gaussian", n=64, sign_randomize=True)
-    op = build_operator(cfg, 32, 7, 8)
-    assert op.kind == "iid_gaussian" and hasattr(op, "signs")
+        assert hasattr(op, "signs") == (kind in makers)
+        if kind in makers:
+            want = column_sign_randomize(makers[kind](), 8)
+            assert op.apply(x).tobytes() == want.apply(x).tobytes()
+            assert op.adjoint(r).tobytes() == want.adjoint(r).tobytes()
 
 
 def test_build_operator_band_default_and_override():
