@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,20 +63,57 @@ def test_prox_matches_numpy_sweep_byte_for_byte():
     for _ in range(1500):
         n = int(rng.integers(1, 701))
         scale = float(10.0 ** rng.uniform(-8, 8))
-        if rng.random() < 0.3:
-            # piecewise constant: plateaus make exact ties in the sweep's comparisons
-            levels = np.round(rng.normal(size=int(rng.integers(1, 8))), 1)
-            y = np.repeat(levels, -(-n // levels.size))[:n] * scale
+        kind = rng.random()
+        if kind < 0.3:
+            # noisy plateaus at a threshold near the noise level, as TV-AMP calls the
+            # prox: most steps end a segment, and every restart branch of the sweep runs
+            levels = rng.normal(size=int(rng.integers(1, 40)))
+            sigma = float(10.0 ** rng.uniform(-3, 0))
+            y = np.repeat(levels, -(-n // levels.size))[:n] + sigma * rng.normal(size=n)
+            y *= scale
+            lam = sigma * scale * float(rng.uniform(0.3, 3.0))
         else:
-            y = rng.normal(size=n) * scale
-        top = float(np.max(np.abs(y)))
-        lam = float(rng.choice([0.0, 1e-6 * scale, top * 10.0 ** rng.uniform(-6, 1)]))
+            if kind < 0.6:
+                # piecewise constant: plateaus make exact ties in the sweep's comparisons
+                levels = np.round(rng.normal(size=int(rng.integers(1, 8))), 1)
+                y = np.repeat(levels, -(-n // levels.size))[:n] * scale
+            else:
+                y = rng.normal(size=n) * scale
+            top = float(np.max(np.abs(y)))
+            lam = float(rng.choice([0.0, 1e-6 * scale, top * 10.0 ** rng.uniform(-6, 1)]))
         cases.append((y, lam))
         cases.append((y, np.float64(lam)))
+    means = 0
     for y, lam in cases:
         ours = tv_prox(y, lam)
         assert ours.dtype == np.float64 and ours.shape == y.shape
-        assert ours.tobytes() == tv_prox_sweep_reference(y, lam).tobytes()
+        if y.size > 1 and lam > 0.0 and lam >= y.size * np.max(np.abs(y)):
+            # past the bound the prox is the exact mean, where the sweep loses digits
+            means += 1
+            assert ours.tobytes() == np.full(y.size, math.fsum(y) / y.size).tobytes()
+        else:
+            assert ours.tobytes() == tv_prox_sweep_reference(y, lam).tobytes()
+    assert 0 < means < len(cases) // 20
+
+
+def test_prox_is_the_exact_mean_past_the_bound():
+    # no partial sum of y - mean exceeds n max|y|, so from lam = n max|y| on the prox
+    # is the mean; a sweep there loses y in y[0] - lam and once returned 1.5 for the
+    # mean of [1, 2, 4], then -4, and inf for [1, 2]
+    for lam in (12.0, 1e10, 1e16, 1e17, 1e308):
+        np.testing.assert_array_equal(tv_prox(np.array([1.0, 2.0, 4.0]), lam), np.full(3, 7 / 3))
+    np.testing.assert_array_equal(tv_prox(np.array([1.0, 2.0]), 1e308), [1.5, 1.5])
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        y = rng.normal(size=n) * float(10.0 ** rng.uniform(-150, 150))
+        lam = n * float(np.max(np.abs(y))) * float(10.0 ** rng.choice([0.0, rng.uniform(0, 8)]))
+        out = tv_prox(y, lam)
+        assert out.tobytes() == np.full(n, math.fsum(y) / n).tobytes()
+    for _ in range(10):
+        y = rng.normal(size=int(rng.integers(2, 30))) * float(np.exp(rng.uniform(-2, 2)))
+        lam = 1e6 * float(np.max(np.abs(y)))
+        np.testing.assert_allclose(tv_prox(y, lam), tv_prox_fista(y, lam), rtol=0, atol=1e-9)
 
 
 def test_prox_singleton_and_empty():
